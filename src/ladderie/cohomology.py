@@ -25,6 +25,9 @@ from .linalg import ExactMatrix, canonical, kernel_rows, rank, _rref
 
 _ZERO = Fraction(0)
 
+# betti_numbers refuses complexes with more cochains than this (dim > 20).
+MAX_COCHAINS = 2 ** 20
+
 
 class FiniteLieAlgebra:
     """Structure constants over basis indices 0..dim-1.
@@ -119,30 +122,29 @@ def ce_differential(algebra: FiniteLieAlgebra, k: int) -> ExactMatrix:
     n = algebra.dim
     if not 0 <= k <= n:
         raise ValueError("cochain degree %s out of range" % (k,))
+    # Entries accumulate as ints; a non-integral constant stays a Fraction.
+    consts = {key: [(b, c.numerator if c.denominator == 1 else c) for b, c in vec.items()]
+              for key, vec in algebra.structure.items()}
+    pairs = [(p, q, -1 if (p + q) % 2 else 1)
+             for p in range(k + 1) for q in range(p + 1, k + 1)]
     cols = {S: c for c, S in enumerate(combinations(range(n), k))}
     rows = list(combinations(range(n), k + 1))
     entries: dict = {}
     for r, S in enumerate(rows):
-        for p in range(k + 1):
-            for q in range(p + 1, k + 1):
-                br = algebra.bracket_basis(S[p], S[q])
-                if not br:
+        for p, q, sign_pq in pairs:
+            br = consts.get((S[p], S[q]))
+            if br is None:
+                continue
+            rest = S[:p] + S[p + 1:q] + S[q + 1:]
+            for b, c in br:
+                pos = bisect_left(rest, b)
+                if pos < len(rest) and rest[pos] == b:
                     continue
-                rest = S[:p] + S[p + 1:q] + S[q + 1:]
-                sign_pq = -1 if (p + q) % 2 else 1
-                for b, c in br.items():
-                    pos = bisect_left(rest, b)
-                    if pos < len(rest) and rest[pos] == b:
-                        continue
-                    T = rest[:pos] + (b,) + rest[pos:]
-                    sgn = sign_pq * (-1 if pos % 2 else 1)
-                    key = (r, cols[T])
-                    new = entries.get(key, _ZERO) + sgn * c
-                    if new:
-                        entries[key] = new
-                    else:
-                        del entries[key]
-    return ExactMatrix(len(rows), comb(n, k), entries)
+                key = (r, cols[rest[:pos] + (b,) + rest[pos:]])
+                sgn = -sign_pq if pos % 2 else sign_pq
+                entries[key] = entries.get(key, 0) + sgn * c
+    return ExactMatrix._from_canonical(
+        len(rows), comb(n, k), {key: Fraction(v) for key, v in entries.items() if v})
 
 
 @dataclass(frozen=True)
@@ -158,6 +160,9 @@ class BettiTable:
 def betti_numbers(algebra: FiniteLieAlgebra) -> BettiTable:
     """Exact Betti numbers b_0..b_dim of the trivial-coefficient complex."""
     n = algebra.dim
+    if 2 ** n > MAX_COCHAINS:
+        raise ValueError("the complex of a %d-dimensional algebra has 2^%d = %d cochains, "
+                         "more than the limit of %d" % (n, n, 2 ** n, MAX_COCHAINS))
     dims = tuple(comb(n, k) for k in range(n + 1))
     ranks = tuple(rank(ce_differential(algebra, k)) for k in range(n + 1))
     betti = tuple(dims[k] - ranks[k] - (ranks[k - 1] if k else 0)

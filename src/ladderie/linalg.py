@@ -5,12 +5,19 @@ Every coefficient in this package is a ``fractions.Fraction``; nothing here
 dicts ``index -> Fraction`` with no stored zeros, so structural equality of
 dicts is equality of vectors, and iteration in sorted key order is the
 canonical order.
+
+``rank`` runs fraction-free sparse elimination on primitive integer rows
+(after Bareiss, 1968) and creates no ``Fraction``.  The sparse rational RREF
+``_rref`` serves everything that returns vectors: kernel bases, solutions
+and Farkas witnesses, whose normalization it fixes; it is also the reference
+that ``rank`` is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -117,6 +124,14 @@ class ExactMatrix:
         return cls(len(row_dicts), cols, ent)
 
     @classmethod
+    def _from_canonical(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
+        """Wrap ``entries`` without copying; the caller guarantees the
+        contract (in range, nonzero ``Fraction`` values)."""
+        matrix = cls.__new__(cls)
+        matrix.rows, matrix.cols, matrix.entries = rows, cols, entries
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
 
@@ -189,13 +204,43 @@ def _rref(row_dicts: Sequence[Mapping], exclude=frozenset(), track=False):
 
 
 def rank(matrix: ExactMatrix) -> int:
-    """Exact rank over the rationals."""
-    _, pivots, _ = _rref(matrix.row_dicts())
-    return len(pivots)
+    """Exact rank over the rationals, by fraction-free elimination.
 
-
-def rank_rows(row_dicts: Sequence[Mapping]) -> int:
-    _, pivots, _ = _rref(row_dicts)
+    Each row becomes a primitive integer vector and is reduced against the
+    pivot rows found so far on its leading column, cross-multiplied by the
+    gcd-reduced pivot factors; a row that survives is divided by its content
+    and becomes the pivot row of its leading column.
+    """
+    pivots: dict = {}
+    for row in matrix.row_dicts():
+        if not row:
+            continue
+        # lowest-terms entries: the scaled row's content is the numerators' gcd
+        scale = lcm(*(v.denominator for v in row.values()))
+        content = gcd(*(v.numerator for v in row.values()))
+        row = {c: v.numerator // content * (scale // v.denominator)
+               for c, v in row.items()}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                content = gcd(*row.values())
+                if content != 1:
+                    row = {c: v // content for c, v in row.items()}
+                pivots[lead] = row
+                break
+            a, b = row[lead], prow[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            # row <- b*row - a*prow, which cancels the leading entry
+            if b != 1:
+                row = {c: b * v for c, v in row.items()}
+            for c, v in prow.items():
+                new = row.get(c, 0) - a * v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
     return len(pivots)
 
 

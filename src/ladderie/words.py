@@ -90,8 +90,12 @@ class Alphabet:
 
 def alphabet_from_json(obj) -> Alphabet:
     """Load {"letters": [{"name", "degree", "sym"}, ...]}."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("letters"), list):
+        raise ValueError('an alphabet must be a JSON object with a "letters" list')
     letters = []
     for item in obj["letters"]:
+        if not isinstance(item, dict):
+            raise ValueError("alphabet letter %r is not a JSON object" % (item,))
         sym = item.get("sym", "1")
         if isinstance(sym, str):
             from .linalg import scalar_from_str

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -185,3 +186,22 @@ def test_verify_small(capsys):
     assert lines == sorted(lines)
     assert all(line.startswith("PASS") for line in lines)
     assert "all checks passed" in out
+
+
+def test_betti_refuses_oversized_complex(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", "betti", "--n", "5")
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "33554432 cochains" in err
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "\"ab\"", "{}", "{\"letters\": 3}",
+                                     "{\"letters\": [1]}"])
+def test_malformed_alphabet_is_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "alphabet.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "words", "iota", "--alphabet", str(path),
+                         "--n", "0", "--m", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

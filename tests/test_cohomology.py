@@ -4,11 +4,11 @@ from math import comb
 
 import pytest
 
-from ladderie.cohomology import (FiniteLieAlgebra, abelian_algebra,
-                                 betti_numbers, ce_differential,
-                                 h1_degree_functional, stability_check,
-                                 truncate_gl)
-from ladderie.linalg import ExactMatrix, matmul, rank
+from ladderie.cohomology import (MAX_COCHAINS, FiniteLieAlgebra,
+                                 abelian_algebra, betti_numbers,
+                                 ce_differential, h1_degree_functional,
+                                 stability_check, truncate_gl)
+from ladderie.linalg import ExactMatrix, _rref, matmul, rank
 
 
 def poly_coefficients_of_odd_exterior(n):
@@ -168,3 +168,38 @@ def test_abelian_window_second_cohomology():
         table = betti_numbers(abelian_algebra(w))
         assert table.betti[2] == w * (w - 1) // 2
         assert table.betti == tuple(comb(w, k) for k in range(w + 1))
+
+
+def test_rank_matches_rref_on_gl3_differentials():
+    g3 = truncate_gl(3)
+    for k in range(g3.dim + 1):
+        m = ce_differential(g3, k)
+        assert rank(m) == len(_rref(m.row_dicts())[1])
+
+
+def test_ce_differential_of_half_scaled_gl2():
+    g2 = truncate_gl(2)
+    half = FiniteLieAlgebra(g2.basis_labels,
+                            {key: {b: c / 2 for b, c in vec.items()}
+                             for key, vec in g2.structure.items()})
+    for k in range(half.dim + 1):
+        scaled, plain = ce_differential(half, k), ce_differential(g2, k)
+        assert (scaled.rows, scaled.cols) == (plain.rows, plain.cols)
+        assert scaled.entries == {key: v / 2 for key, v in plain.entries.items()}
+        for m in (scaled, plain):
+            assert all(type(v) is F and v for v in m.entries.values())
+            assert m == ExactMatrix(m.rows, m.cols, m.entries)
+    for k in range(half.dim):
+        assert not matmul(ce_differential(half, k + 1), ce_differential(half, k)).entries
+
+
+def test_full_gl4_betti_table():
+    table = betti_numbers(truncate_gl(4))
+    assert table.betti == (1, 1, 0, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 0, 1, 1)
+    assert table.betti == poly_coefficients_of_odd_exterior(4)
+
+
+def test_betti_refuses_more_than_max_cochains():
+    assert MAX_COCHAINS == 2 ** 20
+    with pytest.raises(ValueError, match="2097152 cochains"):
+        betti_numbers(abelian_algebra(21))

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderie.linalg import (ExactMatrix, Infeasible, canonical, kernel_basis,
-                             lin_combine, matmul, rank, scalar_from_str,
-                             scalar_to_str, solve_or_refute)
+from ladderie.linalg import (ExactMatrix, Infeasible, _rref, canonical,
+                             kernel_basis, lin_combine, matmul, rank,
+                             scalar_from_str, scalar_to_str, solve_or_refute)
 
 
 def test_scalar_strings():
@@ -133,3 +133,41 @@ def test_matrix_validation():
         ExactMatrix(1, 1, {(1, 0): 1})
     with pytest.raises(ValueError):
         ExactMatrix.identity(2).mul_vec([1])
+
+
+rational_entries = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.fractions(max_denominator=10 ** 6))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense rational matrices from 0x0 to 12x12, wide and tall, with zero
+    rows and rows that are multiples or combinations of earlier rows."""
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 12))
+    dense = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("random", "random", "zero", "multiple", "combination")
+                                    if dense else ("random", "zero")))
+        if kind == "zero":
+            row = [F(0)] * cols
+        elif kind == "multiple":
+            c = draw(rational_entries)
+            row = [c * v for v in draw(st.sampled_from(dense))]
+        elif kind == "combination":
+            c1, c2 = draw(rational_entries), draw(rational_entries)
+            u, v = draw(st.sampled_from(dense)), draw(st.sampled_from(dense))
+            row = [c1 * a + c2 * b for a, b in zip(u, v)]
+        else:
+            row = [draw(rational_entries) for _ in range(cols)]
+        dense.append(row)
+    return ExactMatrix(rows, cols, {(r, c): v for r, row in enumerate(dense)
+                                    for c, v in enumerate(row)})
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_matrices())
+def test_rank_matches_rref_reference(m):
+    assert rank(m) == len(_rref(m.row_dicts())[1])
