@@ -21,9 +21,7 @@ from itertools import combinations
 from math import comb
 
 from . import glinf, ladder
-from .linalg import ExactMatrix, canonical, kernel_rows, rank, _rref
-
-_ZERO = Fraction(0)
+from .linalg import ExactMatrix, add_into, canonical, kernel_rows, rank, _rref
 
 # betti_numbers refuses complexes with more cochains than this (dim > 20).
 MAX_COCHAINS = 2 ** 20
@@ -67,27 +65,15 @@ class FiniteLieAlgebra:
         acc: dict = {}
         for i, cu in u.items():
             for j, cv in v.items():
-                c = cu * cv
-                for b, w in self.bracket_basis(i, j).items():
-                    new = acc.get(b, _ZERO) + w * c
-                    if new:
-                        acc[b] = new
-                    else:
-                        del acc[b]
+                add_into(acc, self.bracket_basis(i, j), cu * cv)
         return acc
 
     def _jacobi_failure(self):
         for i, j, k in combinations(range(self.dim), 3):
             acc: dict = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_basis(a, b)
-                for x, cx in inner.items():
-                    for y, cy in self.bracket_basis(x, c).items():
-                        new = acc.get(y, _ZERO) + cx * cy
-                        if new:
-                            acc[y] = new
-                        else:
-                            del acc[y]
+                for x, cx in self.bracket_basis(a, b).items():
+                    add_into(acc, self.bracket_basis(x, c), cx)
             if acc:
                 return (i, j, k)
         return None
@@ -227,14 +213,8 @@ def h1_degree_functional(bound: int, with_y: bool = False) -> H1Report:
     rows = []
     for n, m in gens:
         for l, s in gens:
-            class_sum: dict = {}
-            for (a, b), c in ladder.generator_bracket(n, m, l, s).items():
-                d = a - b
-                new = class_sum.get(d, 0) + c
-                if new:
-                    class_sum[d] = new
-                else:
-                    del class_sum[d]
+            br = ladder.generator_bracket(n, m, l, s)
+            class_sum = add_into({}, ((a - b, c) for (a, b), c in br.items()))
             if class_sum:
                 rows.append({column(d): Fraction(c) for d, c in class_sum.items()})
     if with_y:

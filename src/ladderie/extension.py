@@ -17,59 +17,16 @@ from itertools import product
 from . import ladder
 from .glinf import E, GlElement, bracket_ee, embed_to_z
 from .ladder import LieElement, theta, delta
-from .linalg import ExactMatrix, Infeasible, canonical, solve_or_refute
+from .linalg import ExactMatrix, Infeasible, SparseElement, add_into, solve_or_refute
 
 _ZERO = Fraction(0)
 
 
-class CElement:
+class CElement(SparseElement):
     """Immutable sparse combination of the quotient generators, one per
     integer degree d."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = canonical(terms or {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, CElement):
-            return NotImplemented
-        acc = dict(self.terms)
-        for d, c in other.terms.items():
-            new = acc.get(d, _ZERO) + c
-            if new:
-                acc[d] = new
-            else:
-                del acc[d]
-        return CElement(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, CElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return CElement({d: -c for d, c in self.terms.items()})
-
-    def __mul__(self, scale):
-        scale = Fraction(scale)
-        if not scale:
-            return CElement()
-        return CElement({d: scale * c for d, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, CElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return "CElement(%r)" % (self.terms,)
+    __slots__ = ()
 
     def __str__(self):
         from .parsing import format_c_element
@@ -85,31 +42,15 @@ def project_to_c(e: LieElement) -> CElement:
     """Quotient projection: Z[n,m] goes to the degree class n-m."""
     if e.y:
         raise ValueError("element has a Y component")
-    acc: dict = {}
-    for (n, m), c in e.z.items():
-        d = n - m
-        new = acc.get(d, _ZERO) + c
-        if new:
-            acc[d] = new
-        else:
-            del acc[d]
-    return CElement(acc)
+    return CElement._from_canonical(add_into({}, ((n - m, c) for (n, m), c in e.z.items())))
 
 
 def section_generator(d: int) -> dict:
-    acc: dict = {}
-    for coeff, idx in (
-        (theta(d), (max(d, 0), 0)),
-        (theta(-d), (0, max(-d, 0))),
-        (-delta(d, 0), (0, 0)),
-    ):
-        if coeff:
-            new = acc.get(idx, 0) + coeff
-            if new:
-                acc[idx] = new
-            else:
-                del acc[idx]
-    return acc
+    return add_into({}, (
+        ((max(d, 0), 0), theta(d)),
+        ((0, max(-d, 0)), theta(-d)),
+        ((0, 0), -delta(d, 0)),
+    ))
 
 
 def section_s(x: CElement) -> LieElement:
@@ -117,13 +58,8 @@ def section_s(x: CElement) -> LieElement:
     Z[0,-d] for d < 0 and Z[0,0] for d = 0."""
     acc: dict = {}
     for d, c in x.terms.items():
-        for idx, w in section_generator(d).items():
-            new = acc.get(idx, _ZERO) + w * c
-            if new:
-                acc[idx] = new
-            else:
-                del acc[idx]
-    return LieElement(acc)
+        add_into(acc, section_generator(d), c)
+    return LieElement._from_canonical(acc)
 
 
 def alpha_on_generator(d: int, i: int, j: int) -> dict:
@@ -149,14 +85,8 @@ def alpha(x: CElement, g: GlElement) -> GlElement:
     acc: dict = {}
     for d, cx in x.terms.items():
         for (i, j), cg in g.e.items():
-            c = cx * cg
-            for idx, w in alpha_on_generator(d, i, j).items():
-                new = acc.get(idx, _ZERO) + w * c
-                if new:
-                    acc[idx] = new
-                else:
-                    del acc[idx]
-    return GlElement(acc)
+            add_into(acc, alpha_on_generator(d, i, j), cx * cg)
+    return GlElement._from_canonical(acc)
 
 
 def rho_on_generators(a: int, b: int) -> dict:
@@ -184,14 +114,8 @@ def rho(x: CElement, y: CElement) -> GlElement:
     acc: dict = {}
     for a, cx in x.terms.items():
         for b, cy in y.terms.items():
-            c = cx * cy
-            for idx, w in rho_on_generators(a, b).items():
-                new = acc.get(idx, _ZERO) + w * c
-                if new:
-                    acc[idx] = new
-                else:
-                    del acc[idx]
-    return GlElement(acc)
+            add_into(acc, rho_on_generators(a, b), cx * cy)
+    return GlElement._from_canonical(acc)
 
 
 def c_bracket(x: CElement, y: CElement) -> CElement:

@@ -12,64 +12,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ladder import LieElement, delta
-from .linalg import canonical
+from .linalg import SparseElement, add_into
 
 EIndex = tuple  # (i, j), both non-negative
 
 _ZERO = Fraction(0)
 
 
-class GlElement:
+class GlElement(SparseElement):
     """Immutable sparse combination of matrix units E[i,j]."""
 
-    __slots__ = ("e",)
+    __slots__ = ()
+    e = SparseElement.terms  # the same slot as ``terms``, under its own name
 
-    def __init__(self, e=None):
-        ec = canonical(e or {})
-        for i, j in ec:
+    def _check(self) -> None:
+        for i, j in self.e:
             if i < 0 or j < 0:
                 raise ValueError("negative E index (%s, %s)" % (i, j))
-        self.e = ec
-
-    def is_zero(self) -> bool:
-        return not self.e
-
-    def __add__(self, other):
-        if not isinstance(other, GlElement):
-            return NotImplemented
-        acc = dict(self.e)
-        for idx, c in other.e.items():
-            new = acc.get(idx, _ZERO) + c
-            if new:
-                acc[idx] = new
-            else:
-                del acc[idx]
-        return GlElement(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, GlElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return GlElement({idx: -c for idx, c in self.e.items()})
-
-    def __mul__(self, scale):
-        scale = Fraction(scale)
-        if not scale:
-            return GlElement()
-        return GlElement({idx: scale * c for idx, c in self.e.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, GlElement) and self.e == other.e
-
-    def __hash__(self):
-        return hash(frozenset(self.e.items()))
-
-    def __repr__(self):
-        return "GlElement(%r)" % (self.e,)
 
     def __str__(self):
         from .parsing import format_gl_element
@@ -83,43 +42,23 @@ def E(i: int, j: int, coeff=1) -> GlElement:
 
 def generator_bracket_ee(i: int, j: int, r: int, k: int) -> dict:
     """[E[i,j], E[r,k]] as a sparse integer combination."""
-    acc: dict = {}
-    if delta(j, r):
-        acc[(i, k)] = 1
-    if delta(k, i):
-        new = acc.get((r, j), 0) - 1
-        if new:
-            acc[(r, j)] = new
-        else:
-            del acc[(r, j)]
-    return acc
+    return add_into({}, (((i, k), delta(j, r)), ((r, j), -delta(k, i))))
 
 
 def bracket_ee(a: GlElement, b: GlElement) -> GlElement:
     acc: dict = {}
     for (i, j), ca in a.e.items():
         for (r, k), cb in b.e.items():
-            c = ca * cb
-            for idx, w in generator_bracket_ee(i, j, r, k).items():
-                new = acc.get(idx, _ZERO) + w * c
-                if new:
-                    acc[idx] = new
-                else:
-                    del acc[idx]
-    return GlElement(acc)
+            add_into(acc, generator_bracket_ee(i, j, r, k), ca * cb)
+    return GlElement._from_canonical(acc)
 
 
 def embed_to_z(g: GlElement) -> LieElement:
     """Linear embedding sending E[i,j] to Z[i,j] - Z[i+1,j+1]."""
     acc: dict = {}
     for (i, j), c in g.e.items():
-        for idx, sgn in (((i, j), 1), ((i + 1, j + 1), -1)):
-            new = acc.get(idx, _ZERO) + sgn * c
-            if new:
-                acc[idx] = new
-            else:
-                del acc[idx]
-    return LieElement(acc)
+        add_into(acc, (((i, j), c), ((i + 1, j + 1), -c)))
+    return LieElement._from_canonical(acc)
 
 
 def express_in_e(e: LieElement):
@@ -146,7 +85,7 @@ def express_in_e(e: LieElement):
             running += coeffs.get(k, _ZERO)
             if running:
                 out[(i0 + k, j0 + k)] = running
-    return GlElement(out)
+    return GlElement._from_canonical(out)
 
 
 def trace_functional(g: GlElement) -> Fraction:

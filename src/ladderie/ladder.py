@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import canonical, kernel_rows
+from .linalg import SparseElement, add_into, exact_scalar, kernel_rows
 
 ZIndex = tuple  # (n, m), both non-negative
 
@@ -38,75 +38,54 @@ def delta(a: int, b: int) -> int:
 
 def generator_bracket(n: int, m: int, l: int, s: int) -> dict:
     """[Z[n,m], Z[l,s]] as a sparse integer combination of Z indices."""
-    acc: dict = {}
-    for coeff, idx in (
-        (theta(l - m), (l - m + n, s)),
-        (-theta(s - n), (l, s - n + m)),
-        (-theta(n - s), (n - s + l, m)),
-        (theta(m - l), (n, m - l + s)),
-        (-delta(m, l), (n, s)),
-        (delta(n, s), (l, m)),
-    ):
-        if coeff:
-            new = acc.get(idx, 0) + coeff
-            if new:
-                acc[idx] = new
-            else:
-                del acc[idx]
-    return acc
+    return add_into({}, (
+        ((l - m + n, s), theta(l - m)),
+        ((l, s - n + m), -theta(s - n)),
+        ((n - s + l, m), -theta(n - s)),
+        ((n, m - l + s), theta(m - l)),
+        ((n, s), -delta(m, l)),
+        ((l, m), delta(n, s)),
+    ))
 
 
-class LieElement:
+class LieElement(SparseElement):
     """Immutable sparse combination of Z generators plus a Y coefficient.
 
     ``z`` maps (n, m) to a nonzero Fraction; ``y`` is the Y coefficient
     (zero for elements of the ladder algebra proper).
     """
 
-    __slots__ = ("z", "y")
+    __slots__ = ("y",)
+    z = SparseElement.terms  # the Z part: the same slot, under its own name
 
-    def __init__(self, z=None, y=0):
-        zc = canonical(z or {})
-        for n, m in zc:
+    def __init__(self, z=None, y=_ZERO):
+        super().__init__(z)
+        self.y = exact_scalar(y)
+
+    @classmethod
+    def _from_canonical(cls, z: dict, y=_ZERO) -> "LieElement":
+        elem = super()._from_canonical(z)
+        elem.y = y
+        return elem
+
+    def _check(self) -> None:
+        for n, m in self.z:
             if n < 0 or m < 0:
                 raise ValueError("negative Z index (%s, %s)" % (n, m))
-        self.z = zc
-        self.y = Fraction(y)
 
     def is_zero(self) -> bool:
         return not self.z and not self.y
 
-    def __add__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        acc = dict(self.z)
-        for idx, c in other.z.items():
-            new = acc.get(idx, _ZERO) + c
-            if new:
-                acc[idx] = new
-            else:
-                del acc[idx]
-        return LieElement(acc, self.y + other.y)
+    def _combine(self, other, scale):
+        y = other.y if scale is None else scale * other.y
+        return LieElement._from_canonical(add_into(dict(self.z), other.z, scale), self.y + y)
 
-    def __sub__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return LieElement({idx: -c for idx, c in self.z.items()}, -self.y)
-
-    def __mul__(self, scale):
-        scale = Fraction(scale)
-        if not scale:
-            return LieElement()
-        return LieElement({idx: scale * c for idx, c in self.z.items()}, scale * self.y)
-
-    __rmul__ = __mul__
+    def _scaled(self, scale):
+        z = {idx: scale * c for idx, c in self.z.items()} if scale else {}
+        return LieElement._from_canonical(z, scale * self.y)
 
     def __eq__(self, other):
-        return (isinstance(other, LieElement)
-                and self.z == other.z and self.y == other.y)
+        return type(other) is LieElement and self.z == other.z and self.y == other.y
 
     def __hash__(self):
         return hash((frozenset(self.z.items()), self.y))
@@ -132,13 +111,7 @@ def _bracket_z(za: Mapping, zb: Mapping) -> dict:
     acc: dict = {}
     for (n, m), ca in za.items():
         for (l, s), cb in zb.items():
-            c = ca * cb
-            for idx, k in generator_bracket(n, m, l, s).items():
-                new = acc.get(idx, _ZERO) + k * c
-                if new:
-                    acc[idx] = new
-                else:
-                    del acc[idx]
+            add_into(acc, generator_bracket(n, m, l, s), ca * cb)
     return acc
 
 
@@ -146,24 +119,10 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Bilinear bracket on the extended algebra ([Y, Y] = 0)."""
     acc = _bracket_z(a.z, b.z)
     if a.y:
-        for (n, m), c in b.z.items():
-            w = n - m
-            if w:
-                new = acc.get((n, m), _ZERO) + a.y * c * w
-                if new:
-                    acc[(n, m)] = new
-                else:
-                    del acc[(n, m)]
+        add_into(acc, (((n, m), (n - m) * c) for (n, m), c in b.z.items()), a.y)
     if b.y:
-        for (n, m), c in a.z.items():
-            w = n - m
-            if w:
-                new = acc.get((n, m), _ZERO) - b.y * c * w
-                if new:
-                    acc[(n, m)] = new
-                else:
-                    del acc[(n, m)]
-    return LieElement(acc)
+        add_into(acc, (((n, m), (n - m) * c) for (n, m), c in a.z.items()), -b.y)
+    return LieElement._from_canonical(acc)
 
 
 def degree(e: LieElement):
@@ -221,18 +180,11 @@ class GeneratorDecomposition:
 def decompose_generator(n: int, m: int) -> GeneratorDecomposition:
     if n < 0 or m < 0:
         raise ValueError("negative Z index")
-    tail: dict = {}
-    for coeff, idx in (
-        (theta(n - m), (n - m, 0)),
-        (theta(m - n), (0, m - n)),
-        (-delta(n - m, 0), (0, 0)),
-    ):
-        if coeff:
-            new = tail.get(idx, 0) + coeff
-            if new:
-                tail[idx] = new
-            else:
-                del tail[idx]
+    tail = add_into({}, (
+        ((n - m, 0), theta(n - m)),
+        ((0, m - n), theta(m - n)),
+        ((0, 0), -delta(n - m, 0)),
+    ))
     return GeneratorDecomposition(Z(n, 0), Z(0, m), LieElement(tail))
 
 
@@ -252,12 +204,10 @@ def centralizer_basis(test_set, bound: int, degree_filter=None) -> list:
     rows: dict = {}
     for ti, t in enumerate(test_set):
         for col, (n, m) in enumerate(ansatz):
-            br = bracket(Z(n, m), t)
-            for coord, c in br.z.items():
-                row = rows.setdefault((ti, coord), {})
-                row[col] = row.get(col, _ZERO) + c
-    row_dicts = [canonical(r) for r in rows.values()]
+            # one ansatz column meets each (test element, coordinate) row once
+            for coord, c in bracket(Z(n, m), t).z.items():
+                rows.setdefault((ti, coord), {})[col] = c
     basis = []
-    for vec in kernel_rows(row_dicts, len(ansatz)):
+    for vec in kernel_rows(list(rows.values()), len(ansatz)):
         basis.append(LieElement({ansatz[col]: c for col, c in vec.items()}))
     return basis

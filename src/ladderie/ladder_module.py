@@ -9,81 +9,33 @@ extend to products by the Leibniz rule and annihilate the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ladder
 from .ladder import LieElement
-from .linalg import canonical
+from .linalg import SparseElement, add_into
 
 Monomial = tuple  # sorted t indices, e.g. (0, 1, 1) for t[0]*t[1]^2
 
-_ZERO = Fraction(0)
 
-
-class LadderPoly:
+class LadderPoly(SparseElement):
     """Immutable polynomial: zero-free dict monomial -> Fraction."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        items = terms.items() if hasattr(terms, "items") else (terms or [])
-        self.terms = canonical((tuple(sorted(mono)), c) for mono, c in items)
+    @staticmethod
+    def _key(mono) -> Monomial:
+        return tuple(sorted(mono))
 
     @classmethod
     def one(cls) -> "LadderPoly":
         return cls({(): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, LadderPoly):
-            return NotImplemented
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            new = acc.get(mono, _ZERO) + c
-            if new:
-                acc[mono] = new
-            else:
-                del acc[mono]
-        return LadderPoly(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, LadderPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return LadderPoly({mono: -c for mono, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, LadderPoly):
-            acc: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = tuple(sorted(m1 + m2))
-                    new = acc.get(mono, _ZERO) + c1 * c2
-                    if new:
-                        acc[mono] = new
-                    else:
-                        del acc[mono]
-            return LadderPoly(acc)
-        scale = Fraction(other)
-        if not scale:
-            return LadderPoly()
-        return LadderPoly({mono: scale * c for mono, c in self.terms.items()})
-
-    def __rmul__(self, scale):
-        return self * scale
-
-    def __eq__(self, other):
-        return isinstance(other, LadderPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return "LadderPoly(%r)" % (self.terms,)
+        if not isinstance(other, LadderPoly):
+            return super().__mul__(other)
+        return LadderPoly._from_canonical(add_into({}, (
+            (tuple(sorted(m1 + m2)), c1 * c2)
+            for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())))
 
     def __str__(self):
         from .parsing import format_ladder_poly
@@ -97,62 +49,28 @@ def t(k: int, coeff=1) -> LadderPoly:
     return LadderPoly({(k,): coeff})
 
 
-class TensorPoly:
+class TensorPoly(SparseElement):
     """Sparse combination of monomial tensor pairs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        items = terms.items() if hasattr(terms, "items") else (terms or [])
-        self.terms = canonical(((tuple(sorted(a)), tuple(sorted(b))), c)
-                               for (a, b), c in items)
+    @staticmethod
+    def _key(pair) -> tuple:
+        return tuple(sorted(pair[0])), tuple(sorted(pair[1]))
 
     @classmethod
     def one(cls) -> "TensorPoly":
         return cls({((), ()): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            new = acc.get(key, _ZERO) + c
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
-        return TensorPoly(acc)
-
     def __mul__(self, other):
-        if isinstance(other, TensorPoly):
-            acc: dict = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    key = (tuple(sorted(a1 + a2)), tuple(sorted(b1 + b2)))
-                    new = acc.get(key, _ZERO) + c1 * c2
-                    if new:
-                        acc[key] = new
-                    else:
-                        del acc[key]
-            return TensorPoly(acc)
-        scale = Fraction(other)
-        if not scale:
-            return TensorPoly()
-        return TensorPoly({key: scale * c for key, c in self.terms.items()})
-
-    __rmul__ = __mul__
+        if not isinstance(other, TensorPoly):
+            return super().__mul__(other)
+        return TensorPoly._from_canonical(add_into({}, (
+            ((tuple(sorted(a1 + a2)), tuple(sorted(b1 + b2))), c1 * c2)
+            for (a1, b1), c1 in self.terms.items() for (a2, b2), c2 in other.terms.items())))
 
     def swap(self) -> "TensorPoly":
-        return TensorPoly({(b, a): c for (a, b), c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, TensorPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        return "TensorPoly(%r)" % (self.terms,)
+        return TensorPoly._from_canonical({(b, a): c for (a, b), c in self.terms.items()})
 
 
 def act_generator(n: int, m: int, k: int):
@@ -168,25 +86,12 @@ def act(e: LieElement, p: LadderPoly) -> LadderPoly:
     for mono, cp in p.terms.items():
         for (n, m), cz in e.z.items():
             c = cp * cz
-            for i, k in enumerate(mono):
-                knew = act_generator(n, m, k)
-                if knew is None:
-                    continue
-                new_mono = tuple(sorted(mono[:i] + (knew,) + mono[i + 1:]))
-                new = acc.get(new_mono, _ZERO) + c
-                if new:
-                    acc[new_mono] = new
-                else:
-                    del acc[new_mono]
+            images = (act_generator(n, m, k) for k in mono)
+            add_into(acc, ((tuple(sorted(mono[:i] + (knew,) + mono[i + 1:])), c)
+                           for i, knew in enumerate(images) if knew is not None))
         if e.y:
-            weight = sum(mono)
-            if weight:
-                new = acc.get(mono, _ZERO) + e.y * cp * weight
-                if new:
-                    acc[mono] = new
-                else:
-                    del acc[mono]
-    return LadderPoly(acc)
+            add_into(acc, {mono: sum(mono) * cp}, e.y)
+    return LadderPoly._from_canonical(acc)
 
 
 def coproduct(p: LadderPoly) -> TensorPoly:

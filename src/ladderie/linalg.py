@@ -4,7 +4,8 @@ Every coefficient in this package is a ``fractions.Fraction``; nothing here
 (or anywhere downstream) touches floating point.  Sparse vectors are plain
 dicts ``index -> Fraction`` with no stored zeros, so structural equality of
 dicts is equality of vectors, and iteration in sorted key order is the
-canonical order.
+canonical order.  ``add_into`` is the one loop that accumulates them, and
+``SparseElement`` the one base of the element classes built on them.
 
 ``rank`` runs fraction-free sparse elimination on primitive integer rows
 (after Bareiss, 1968) and creates no ``Fraction``.  The sparse rational RREF
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -30,6 +32,8 @@ def scalar_from_str(text: str) -> Fraction:
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
+        if not int(den):
+            raise ValueError("zero denominator in %r" % (text,))
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 
@@ -42,34 +46,48 @@ def scalar_to_str(value) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
+def exact_scalar(value) -> Fraction:
+    """``value`` as a Fraction.  Only ints and other rationals are exact; a
+    float, complex or Decimal raises TypeError instead of entering an
+    element rounded."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Rational):
+        return Fraction(value)
+    raise TypeError("coefficient %r is not exact: use an int or a Fraction" % (value,))
+
+
 def canonical(entries) -> dict:
     """Copy ``entries`` (mapping or (key, value) pairs, duplicates allowed)
     into a fresh zero-free dict with Fraction values."""
-    items = entries.items() if isinstance(entries, Mapping) else entries
-    acc: dict = {}
-    for key, value in items:
-        value = Fraction(value)
+    items = entries.items() if hasattr(entries, "items") else entries
+    return add_into({}, ((key, exact_scalar(value)) for key, value in items))
+
+
+def add_into(acc: dict, entries, scale=None) -> dict:
+    """In-place ``acc += scale * entries`` keeping ``acc`` zero-free; returns
+    ``acc``.
+
+    ``entries`` is a mapping or an iterable of (key, value) pairs, duplicates
+    allowed; without ``scale`` the values are added as they are.  Values are
+    summed as given, so ints stay ints (the generator tables) and any
+    Fraction makes the sum a Fraction.
+    """
+    if scale is not None and not scale:
+        return acc
+    for key, value in (entries.items() if hasattr(entries, "items") else entries):
+        if scale is not None:
+            value = scale * value
         if not value:
             continue
-        new = acc.get(key, _ZERO) + value
-        if new:
-            acc[key] = new
-        else:
-            del acc[key]
+        old = acc.get(key)
+        if old is not None:
+            value += old
+            if not value:
+                del acc[key]
+                continue
+        acc[key] = value
     return acc
-
-
-def add_into(acc: dict, entries: Mapping, scale=1) -> None:
-    """In-place ``acc += scale * entries`` keeping ``acc`` zero-free."""
-    scale = Fraction(scale)
-    if not scale:
-        return
-    for key, value in entries.items():
-        new = acc.get(key, _ZERO) + scale * value
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
 
 
 def lin_combine(terms: Iterable[tuple]) -> dict:
@@ -80,8 +98,80 @@ def lin_combine(terms: Iterable[tuple]) -> dict:
     """
     acc: dict = {}
     for coeff, vec in terms:
-        add_into(acc, vec, coeff)
+        add_into(acc, vec, exact_scalar(coeff))
     return acc
+
+
+class SparseElement:
+    """Immutable zero-free combination ``key -> Fraction``, held in ``terms``.
+
+    The base of every element class: addition, subtraction, negation,
+    scaling by an exact scalar on either side, equality, hashing and
+    ``repr`` are defined here once.  A subclass may supply ``_key``, which
+    normalises a caller's key, and ``_check``, which validates the keys of
+    every element built, trusted or not.
+    """
+
+    __slots__ = ("terms",)
+    _key = None
+
+    def __init__(self, terms=None):
+        items = terms.items() if hasattr(terms, "items") else (terms or ())
+        if self._key is not None:
+            items = ((self._key(k), c) for k, c in items)
+        self.terms = canonical(items)
+        self._check()
+
+    @classmethod
+    def _from_canonical(cls, terms: dict):
+        """Wrap ``terms`` without copying; the caller guarantees normalised
+        keys and nonzero ``Fraction`` values, as a kernel that accumulated
+        them with ``add_into`` does."""
+        elem = cls.__new__(cls)
+        elem.terms = terms
+        elem._check()
+        return elem
+
+    def _check(self) -> None:
+        pass
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _combine(self, other, scale):
+        """``self + scale * other`` (``scale`` None meaning 1)."""
+        return self._from_canonical(add_into(dict(self.terms), other.terms, scale))
+
+    def _scaled(self, scale):
+        return self._from_canonical(
+            {key: scale * c for key, c in self.terms.items()} if scale else {})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, None)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._scaled(-1)
+
+    def __mul__(self, scale):
+        return self._scaled(exact_scalar(scale))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.terms)
 
 
 class ExactMatrix:
@@ -108,7 +198,7 @@ class ExactMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for c, v in enumerate(row):
-                v = Fraction(v)
+                v = exact_scalar(v)
                 if v:
                     ent[(r, c)] = v
         return cls(rows, cols, ent)
@@ -118,7 +208,7 @@ class ExactMatrix:
         ent = {}
         for r, row in enumerate(row_dicts):
             for c, v in row.items():
-                v = Fraction(v)
+                v = exact_scalar(v)
                 if v:
                     ent[(r, c)] = v
         return cls(len(row_dicts), cols, ent)
@@ -150,7 +240,7 @@ class ExactMatrix:
             raise ValueError("vector length %d != %d columns" % (len(vec), self.cols))
         out = [_ZERO] * self.rows
         for (r, c), v in self.entries.items():
-            out[r] += v * Fraction(vec[c])
+            out[r] += v * exact_scalar(vec[c])
         return out
 
     def __eq__(self, other):
@@ -309,11 +399,5 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     b_rows = b.row_dicts()
     out: dict = {}
     for (r, c), v in a.entries.items():
-        for c2, v2 in b_rows[c].items():
-            key = (r, c2)
-            new = out.get(key, _ZERO) + v * v2
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return ExactMatrix(a.rows, b.cols, out)
+        add_into(out, (((r, c2), v2) for c2, v2 in b_rows[c].items()), v)
+    return ExactMatrix._from_canonical(a.rows, b.cols, out)

@@ -187,36 +187,29 @@ def _single_atom(terms, kinds, what):
 
 
 def parse_lie_element(src: str) -> LieElement:
-    z: dict = {}
+    z = []
     y = Fraction(0)
     for coeff, (kind, payload) in _single_atom(_Parser(src).parse_terms(),
                                                ("Z", "Y"), "a Z/Y element"):
         if kind == "Y":
             y += coeff
         else:
-            z[payload] = z.get(payload, 0) + coeff
+            z.append((payload, coeff))
     return LieElement(z, y)
 
 
 def parse_gl_element(src: str) -> GlElement:
-    e: dict = {}
-    for coeff, (_, payload) in _single_atom(_Parser(src).parse_terms(),
-                                            ("E",), "an E element"):
-        e[payload] = e.get(payload, 0) + coeff
-    return GlElement(e)
+    return GlElement((payload, coeff) for coeff, (_, payload) in _single_atom(
+        _Parser(src).parse_terms(), ("E",), "an E element"))
 
 
 def parse_c_element(src: str) -> CElement:
-    terms: dict = {}
-    for coeff, (_, payload) in _single_atom(_Parser(src).parse_terms(),
-                                            ("C",), "a C element"):
-        d = payload[0]
-        terms[d] = terms.get(d, 0) + coeff
-    return CElement(terms)
+    return CElement((payload[0], coeff) for coeff, (_, payload) in _single_atom(
+        _Parser(src).parse_terms(), ("C",), "a C element"))
 
 
 def parse_ladder_poly(src: str) -> LadderPoly:
-    acc: dict = {}
+    terms = []
     for coeff, atoms, pos in _Parser(src).parse_terms():
         mono = []
         for kind, payload in atoms:
@@ -224,9 +217,8 @@ def parse_ladder_poly(src: str) -> LadderPoly:
                 raise ParseError("expected a t generator", pos)
             k, power = payload
             mono.extend([k] * power)
-        key = tuple(sorted(mono))
-        acc[key] = acc.get(key, 0) + coeff
-    return LadderPoly(acc)
+        terms.append((mono, coeff))
+    return LadderPoly(terms)
 
 
 def _first_outside(terms, allowed):
@@ -346,7 +338,7 @@ def parse_word_element(src: str, alphabet) -> WordLieElement:
     """Combinations of word generators Z[w1,w2] over the given alphabet."""
     parser = _Parser(src)
     # re-tokenize lazily: reuse the scaffolding but interpret Z payloads as words
-    terms: dict = {}
+    terms = []
     sign = 1
     tok = parser.peek()
     if tok[0] == "-":
@@ -378,8 +370,7 @@ def parse_word_element(src: str, alphabet) -> WordLieElement:
         parser.take(",")
         w2 = _word_token(parser, alphabet)
         parser.take("]")
-        key = (w1, w2)
-        terms[key] = terms.get(key, 0) + coeff
+        terms.append(((w1, w2), coeff))
         nxt = parser.peek()
         if nxt[0] == "EOF":
             break

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import cohomology, extension, glinf, ladder, ladder_module, words
-from .linalg import Infeasible, matmul
+from .linalg import Infeasible, add_into, matmul
 
 
 @dataclass(frozen=True)
@@ -45,20 +45,10 @@ def _gen_pairs(bound):
     return gens, [(a, b) for a in gens for b in gens]
 
 
-def _random_lie(rng, idx_bound, nterms):
-    z = {}
-    for _ in range(nterms):
-        idx = (rng.randrange(idx_bound + 1), rng.randrange(idx_bound + 1))
-        z[idx] = z.get(idx, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return ladder.LieElement(z)
-
-
-def _random_gl(rng, idx_bound, nterms):
-    e = {}
-    for _ in range(nterms):
-        idx = (rng.randrange(idx_bound + 1), rng.randrange(idx_bound + 1))
-        e[idx] = e.get(idx, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return glinf.GlElement(e)
+def _random_terms(rng, idx_bound, nterms):
+    """Random (index pair, coefficient) terms; repeated pairs add up."""
+    return [((rng.randrange(idx_bound + 1), rng.randrange(idx_bound + 1)),
+             Fraction(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(nterms)]
 
 
 def check_bracket_antisymmetry(bound):
@@ -71,8 +61,8 @@ def check_bracket_antisymmetry(bound):
                          "[Z[%d,%d],Z[%d,%d]]" % (n, m, l, s))
     rng = random.Random(101)
     for _ in range(50):
-        a = _random_lie(rng, 2 * bound, 4) + ladder.Y * rng.randint(-2, 2)
-        b = _random_lie(rng, 2 * bound, 4) + ladder.Y * rng.randint(-2, 2)
+        a = ladder.LieElement(_random_terms(rng, 2 * bound, 4)) + ladder.Y * rng.randint(-2, 2)
+        b = ladder.LieElement(_random_terms(rng, 2 * bound, 4)) + ladder.Y * rng.randint(-2, 2)
         if not (ladder.bracket(a, b) + ladder.bracket(b, a)).is_zero():
             return _fail(name, "random combinations", str(a))
     return _ok(name, "%d generator pairs and 50 random combinations" % len(pairs))
@@ -91,18 +81,8 @@ def check_bracket_jacobi(bound):
                 zc = {c: Fraction(1)}
                 count += 1
                 acc = dict(ladder._bracket_z(ab, zc))
-                for idx, v in ladder._bracket_z(ladder._bracket_z(zb, zc), za).items():
-                    new = acc.get(idx, 0) + v
-                    if new:
-                        acc[idx] = new
-                    else:
-                        del acc[idx]
-                for idx, v in ladder._bracket_z(ladder._bracket_z(zc, za), zb).items():
-                    new = acc.get(idx, 0) + v
-                    if new:
-                        acc[idx] = new
-                    else:
-                        del acc[idx]
+                add_into(acc, ladder._bracket_z(ladder._bracket_z(zb, zc), za))
+                add_into(acc, ladder._bracket_z(ladder._bracket_z(zc, za), zb))
                 if acc:
                     return _fail(name, "exhaustive window %d" % bound,
                                  "Z%s, Z%s, Z%s" % (a, b, c))
@@ -241,7 +221,7 @@ def check_glinf_roundtrip(bound):
     name = "glinf.roundtrip"
     rng = random.Random(7)
     for _ in range(100):
-        g = _random_gl(rng, 2 * bound, 5)
+        g = glinf.GlElement(_random_terms(rng, 2 * bound, 5))
         if glinf.express_in_e(glinf.embed_to_z(g)) != g:
             return _fail(name, "random elements", repr(g))
     return _ok(name, "100 random elements")
@@ -351,7 +331,7 @@ def check_module_leibniz(bound):
         q = ladder_module.LadderPoly(
             {tuple(sorted(rng.randrange(5) for _ in range(rng.randrange(1, 4)))):
              Fraction(rng.randint(-3, 3) or 1)})
-        x = _random_lie(rng, 4, 3) + ladder.Y * rng.randint(-1, 1)
+        x = ladder.LieElement(_random_terms(rng, 4, 3)) + ladder.Y * rng.randint(-1, 1)
         lhs = ladder_module.act(x, p * q)
         rhs = ladder_module.act(x, p) * q + p * ladder_module.act(x, q)
         if lhs != rhs:
@@ -370,14 +350,10 @@ def check_module_coproduct(bound):
         left = {}
         right = {}
         for (a, b), c in dt.terms.items():
-            for (a1, a2), c2 in ladder_module.coproduct(ladder_module.LadderPoly({a: 1})).terms.items():
-                key = (a1, a2, b)
-                left[key] = left.get(key, 0) + c * c2
-            for (b1, b2), c2 in ladder_module.coproduct(ladder_module.LadderPoly({b: 1})).terms.items():
-                key = (a, b1, b2)
-                right[key] = right.get(key, 0) + c * c2
-        left = {k2: v for k2, v in left.items() if v}
-        right = {k2: v for k2, v in right.items() if v}
+            da = ladder_module.coproduct(ladder_module.LadderPoly({a: 1}))
+            db = ladder_module.coproduct(ladder_module.LadderPoly({b: 1}))
+            add_into(left, (((a1, a2, b), c2) for (a1, a2), c2 in da.terms.items()), c)
+            add_into(right, (((a, b1, b2), c2) for (b1, b2), c2 in db.terms.items()), c)
         if left != right:
             return _fail(name, "coassociativity", "t[%d]" % k)
     return _ok(name, "coassociative and cocommutative through t[%d]" % top)
@@ -472,11 +448,9 @@ def check_words_coalgebra(bound):
         lhs = words.word_poly_coproduct(words.iota_h(n, alphabet))
         rhs = {}
         for j in range(n + 1):
+            right = words.iota_h(n - j, alphabet).terms
             for w1, c1 in words.iota_h(j, alphabet).terms.items():
-                for w2, c2 in words.iota_h(n - j, alphabet).terms.items():
-                    key = (w1, w2)
-                    rhs[key] = rhs.get(key, 0) + c1 * c2
-        rhs = {k2: v for k2, v in rhs.items() if v}
+                add_into(rhs, (((w1, w2), c2) for w2, c2 in right.items()), c1)
         if lhs != rhs:
             return _fail(name, "degree %d" % n, "splits differ at degree %d" % n)
     return _ok(name, "deconcatenation matches the ladder coproduct through degree 5")

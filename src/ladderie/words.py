@@ -18,13 +18,11 @@ from fractions import Fraction
 from itertools import product
 
 from . import ladder, ladder_module
-from .linalg import canonical
+from .linalg import SparseElement, add_into, scalar_from_str, scalar_to_str
 
 Word = tuple  # of letter names
 
 EMPTY_WORD: Word = ()
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,8 @@ class Alphabet:
 
     def __init__(self, letters):
         self.letters = tuple(letters)
+        if not self.letters:
+            raise ValueError("an alphabet needs at least one letter")
         self._by_name = {}
         for letter in self.letters:
             if letter.name in self._by_name:
@@ -89,115 +89,54 @@ class Alphabet:
 
 
 def alphabet_from_json(obj) -> Alphabet:
-    """Load {"letters": [{"name", "degree", "sym"}, ...]}."""
+    """Load {"letters": [{"name", "degree", "sym"}, ...]}.
+
+    A name is one character other than "e", because the text form of a word
+    concatenates letter names and writes the empty word as "e"; ``degree``
+    is a JSON integer and ``sym`` a JSON integer or a "p/q" string, so no
+    value is rounded.  Anything else raises ValueError.
+    """
     if not isinstance(obj, dict) or not isinstance(obj.get("letters"), list):
         raise ValueError('an alphabet must be a JSON object with a "letters" list')
     letters = []
     for item in obj["letters"]:
         if not isinstance(item, dict):
             raise ValueError("alphabet letter %r is not a JSON object" % (item,))
-        sym = item.get("sym", "1")
+        name, degree, sym = item.get("name"), item.get("degree"), item.get("sym", "1")
+        if not isinstance(name, str) or len(name) != 1 or name == "e":
+            raise ValueError("letter name %r is not a single character other than 'e'"
+                             % (name,))
+        if type(degree) is not int:
+            raise ValueError("letter %r: degree %r is not a JSON integer" % (name, degree))
         if isinstance(sym, str):
-            from .linalg import scalar_from_str
-
             sym = scalar_from_str(sym)
-        letters.append(Letter(item["name"], int(item["degree"]), Fraction(sym)))
+        elif type(sym) is not int:
+            raise ValueError('letter %r: sym %r is neither a JSON integer nor a "p/q" string'
+                             % (name, sym))
+        letters.append(Letter(name, degree, Fraction(sym)))
     return Alphabet(letters)
 
 
 def alphabet_to_json(alphabet: Alphabet) -> dict:
-    from .linalg import scalar_to_str
-
     return {"letters": [{"name": l.name, "degree": l.degree, "sym": scalar_to_str(l.sym)}
                         for l in alphabet]}
 
 
-class WordPoly:
+class WordPoly(SparseElement):
     """Zero-free combination of words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        items = terms.items() if hasattr(terms, "items") else (terms or [])
-        self.terms = canonical((tuple(w), c) for w, c in items)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, WordPoly):
-            return NotImplemented
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            new = acc.get(w, _ZERO) + c
-            if new:
-                acc[w] = new
-            else:
-                del acc[w]
-        return WordPoly(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, WordPoly):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, scale):
-        scale = Fraction(scale)
-        if not scale:
-            return WordPoly()
-        return WordPoly({w: scale * c for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, WordPoly) and self.terms == other.terms
-
-    def __repr__(self):
-        return "WordPoly(%r)" % (self.terms,)
+    __slots__ = ()
+    _key = staticmethod(tuple)
 
 
-class WordLieElement:
+class WordLieElement(SparseElement):
     """Zero-free combination of word generators Z[w1,w2]."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        items = terms.items() if hasattr(terms, "items") else (terms or [])
-        self.terms = canonical(((tuple(w1), tuple(w2)), c) for (w1, w2), c in items)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, WordLieElement):
-            return NotImplemented
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            new = acc.get(key, _ZERO) + c
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
-        return WordLieElement(acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, WordLieElement):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, scale):
-        scale = Fraction(scale)
-        if not scale:
-            return WordLieElement()
-        return WordLieElement({key: scale * c for key, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, WordLieElement) and self.terms == other.terms
-
-    def __repr__(self):
-        return "WordLieElement(%r)" % (self.terms,)
+    @staticmethod
+    def _key(pair) -> tuple:
+        return tuple(pair[0]), tuple(pair[1])
 
 
 def Zw(w1, w2, coeff=1) -> WordLieElement:
@@ -213,18 +152,11 @@ def act_on_word(w1: Word, w2: Word, w: Word):
 
 
 def act_word(g: WordLieElement, p: WordPoly) -> WordPoly:
-    acc: dict = {}
-    for (w1, w2), cg in g.terms.items():
-        for w, cw in p.terms.items():
-            out = act_on_word(w1, w2, w)
-            if out is None:
-                continue
-            new = acc.get(out, _ZERO) + cg * cw
-            if new:
-                acc[out] = new
-            else:
-                del acc[out]
-    return WordPoly(acc)
+    return WordPoly._from_canonical(add_into({}, (
+        (out, cg * cw)
+        for (w1, w2), cg in g.terms.items()
+        for w, cw in p.terms.items()
+        if (out := act_on_word(w1, w2, w)) is not None)))
 
 
 def generator_bracket_words(w1: Word, w2: Word, w3: Word, w4: Word) -> dict:
@@ -233,46 +165,32 @@ def generator_bracket_words(w1: Word, w2: Word, w3: Word, w4: Word) -> dict:
     Action-indexed terms contribute only when the inner prefix replacement
     succeeds; the two Kronecker terms compare whole words.
     """
-    acc: dict = {}
-
-    def put(key, sgn):
-        new = acc.get(key, 0) + sgn
-        if new:
-            acc[key] = new
-        elif key in acc:
-            del acc[key]
-
+    terms = []
     out = act_on_word(w1, w2, w3)
     if out is not None:
-        put((out, w4), 1)
+        terms.append(((out, w4), 1))
     out = act_on_word(w2, w1, w4)
     if out is not None:
-        put((w3, out), -1)
+        terms.append(((w3, out), -1))
     out = act_on_word(w3, w4, w1)
     if out is not None:
-        put((out, w2), -1)
+        terms.append(((out, w2), -1))
     out = act_on_word(w4, w3, w2)
     if out is not None:
-        put((w1, out), 1)
+        terms.append(((w1, out), 1))
     if w2 == w3:
-        put((w1, w4), -1)
+        terms.append(((w1, w4), -1))
     if w1 == w4:
-        put((w3, w2), 1)
-    return acc
+        terms.append(((w3, w2), 1))
+    return add_into({}, terms)
 
 
 def bracket_words(a: WordLieElement, b: WordLieElement) -> WordLieElement:
     acc: dict = {}
     for (w1, w2), ca in a.terms.items():
         for (w3, w4), cb in b.terms.items():
-            c = ca * cb
-            for key, sgn in generator_bracket_words(w1, w2, w3, w4).items():
-                new = acc.get(key, _ZERO) + sgn * c
-                if new:
-                    acc[key] = new
-                else:
-                    del acc[key]
-    return WordLieElement(acc)
+            add_into(acc, generator_bracket_words(w1, w2, w3, w4), ca * cb)
+    return WordLieElement._from_canonical(acc)
 
 
 def word_coproduct(w: Word) -> dict:
@@ -282,15 +200,7 @@ def word_coproduct(w: Word) -> dict:
 
 
 def word_poly_coproduct(p: WordPoly) -> dict:
-    acc: dict = {}
-    for w, c in p.terms.items():
-        for key, one in word_coproduct(w).items():
-            new = acc.get(key, _ZERO) + c
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
-    return acc
+    return add_into({}, ((key, c) for w, c in p.terms.items() for key in word_coproduct(w)))
 
 
 def iota_h(k: int, alphabet: Alphabet) -> WordPoly:
@@ -389,9 +299,9 @@ def dse_expand(alphabet: Alphabet, order: int) -> DseExpansion:
         for letter in alphabet:
             weight = 1 / letter.sym
             for word, c in gamma.items():
-                grown = (letter.name,) + word
+                grown = (letter.name,) + word  # letter names are unique: each arises once
                 if alphabet.alpha_degree(grown) <= order:
-                    new[grown] = new.get(grown, _ZERO) + weight * c
+                    new[grown] = weight * c
         gamma = new
     c_parts = [dict() for _ in range(order + 1)]
     d_parts = [dict() for _ in range(order + 1)]

@@ -205,3 +205,46 @@ def test_malformed_alphabet_is_usage_error(capsys, tmp_path, content):
                          "--n", "0", "--m", "1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_empty_alphabet_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "alphabet.json"
+    path.write_text('{"letters": []}')
+    code, out, err = run(capsys, "words", "iota", "--alphabet", str(path),
+                         "--n", "0", "--m", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("letters", [
+    [{"name": "a", "degree": 1}, {"name": "aa", "degree": 2}],
+    [{"name": "e", "degree": 1}],
+    [{"name": "a", "degree": 1.5}],
+    [{"name": "a", "degree": "1"}],
+    [{"name": "a", "degree": 1, "sym": 0.5}],
+    [{"name": "a", "degree": 1, "sym": "1/0"}],
+], ids=["multi-character-name", "name-e", "float-degree",
+        "string-degree", "float-sym", "zero-denominator-sym"])
+def test_ambiguous_or_inexact_alphabet_is_usage_error(capsys, tmp_path, letters):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps({"letters": letters}))
+    code, out, err = run(capsys, "dse", "expand", "--alphabet", str(path),
+                         "--order", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    import ladderie
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ladderie.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "ladderie", "degree", "Z[3,1]"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "2\n"
