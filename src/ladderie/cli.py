@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import cohomology, extension, glinf, ladder, ladder_module, parsing, suites, words
-from .linalg import scalar_to_str
+from .linalg import scalar_from_json, scalar_to_str
 from .parsing import ParseError
 
 
@@ -210,15 +210,41 @@ def _cmd_cohomology_betti(args) -> int:
 
 def _algebra_from_json(obj) -> cohomology.FiniteLieAlgebra:
     """Structure constants from {"labels": [...], "brackets":
-    [{"i": .., "j": .., "terms": [{"k": .., "c": ".."}]}]}."""
-    from .linalg import scalar_from_str
+    [{"i": .., "j": .., "terms": [{"k": .., "c": ".."}]}]}.
 
-    labels = obj["labels"]
+    ``i``, ``j`` and ``k`` are JSON integers and ``c`` a JSON integer or a
+    "p/q" string, so no value is rounded; a pair (i, j) or, within one
+    bracket, an index k given twice would silently replace the first, so it
+    raises ValueError like anything else malformed.
+    """
+    if not (isinstance(obj, dict) and isinstance(obj.get("labels"), list)
+            and isinstance(obj.get("brackets"), list)):
+        raise ValueError('a structure must be a JSON object with "labels" and '
+                         '"brackets" lists')
     structure = {}
-    for item in obj.get("brackets", []):
-        vec = {int(term["k"]): scalar_from_str(term["c"]) for term in item["terms"]}
-        structure[(int(item["i"]), int(item["j"]))] = vec
-    return cohomology.FiniteLieAlgebra(labels, structure)
+    for item in obj["brackets"]:
+        if not (isinstance(item, dict) and isinstance(item.get("terms"), list)):
+            raise ValueError('bracket %r is not a JSON object with a "terms" list' % (item,))
+        vec = {}
+        for term in item["terms"]:
+            if not isinstance(term, dict):
+                raise ValueError("bracket term %r is not a JSON object" % (term,))
+            k = _json_int(term, "k")
+            if k in vec:
+                raise ValueError("structure index k = %d repeated in one bracket" % k)
+            vec[k] = scalar_from_json(term.get("c"), "structure constant")
+        pair = (_json_int(item, "i"), _json_int(item, "j"))
+        if pair in structure:
+            raise ValueError("bracket (%d, %d) given twice" % pair)
+        structure[pair] = vec
+    return cohomology.FiniteLieAlgebra(obj["labels"], structure)
+
+
+def _json_int(obj: dict, key: str) -> int:
+    value = obj.get(key)
+    if type(value) is not int:
+        raise ValueError("structure index %s = %r is not a JSON integer" % (key, value))
+    return value
 
 
 def _cmd_cohomology_h1(args) -> int:

@@ -5,7 +5,9 @@ Every coefficient in this package is a ``fractions.Fraction``; nothing here
 dicts ``index -> Fraction`` with no stored zeros, so structural equality of
 dicts is equality of vectors, and iteration in sorted key order is the
 canonical order.  ``add_into`` is the one loop that accumulates them, and
-``SparseElement`` the one base of the element classes built on them.
+``SparseElement`` the one base of the element classes built on them.  An
+integer kernel runs on ``numerators`` of its operands and makes Fractions
+only at the end, with ``over``.
 
 ``rank`` runs fraction-free sparse elimination on primitive integer rows
 (after Bareiss, 1968) and creates no ``Fraction``.  The sparse rational RREF
@@ -36,6 +38,17 @@ def scalar_from_str(text: str) -> Fraction:
             raise ValueError("zero denominator in %r" % (text,))
         return Fraction(int(num), int(den))
     return Fraction(int(s))
+
+
+def scalar_from_json(value, what: str) -> Fraction:
+    """A JSON integer or a "p/q" string as a Fraction.  Any other JSON value
+    (a float, a bool, null) raises ValueError naming ``what``, so nothing
+    is rounded."""
+    if isinstance(value, str):
+        return scalar_from_str(value)
+    if type(value) is not int:
+        raise ValueError('%s %r is neither a JSON integer nor a "p/q" string' % (what, value))
+    return Fraction(value)
 
 
 def scalar_to_str(value) -> str:
@@ -88,6 +101,24 @@ def add_into(acc: dict, entries, scale=None) -> dict:
                 continue
         acc[key] = value
     return acc
+
+
+def numerators(terms: Mapping) -> tuple:
+    """``terms`` over their common denominator: ``(nums, den)`` with int
+    ``nums[key] == terms[key] * den``, so an integer kernel can run on
+    ``nums`` and divide once at the end (see ``over``)."""
+    den = lcm(*[v.denominator for v in terms.values()])
+    if den == 1:
+        return {key: v.numerator for key, v in terms.items()}, 1
+    return {key: v.numerator * (den // v.denominator) for key, v in terms.items()}, den
+
+
+def over(nums: dict, den: int) -> dict:
+    """The zero-free int dict ``nums`` divided by ``den``, with Fraction
+    values: the element boundary of an integer kernel."""
+    if den == 1:
+        return {key: Fraction(v) for key, v in nums.items()}
+    return {key: Fraction(v, den) for key, v in nums.items()}
 
 
 def lin_combine(terms: Iterable[tuple]) -> dict:

@@ -68,25 +68,35 @@ def check_bracket_antisymmetry(bound):
     return _ok(name, "%d generator pairs and 50 random combinations" % len(pairs))
 
 
+def _jacobi_window(gens, bracket_terms):
+    """The first triple (a, b, c) of ``gens``, in nested order, whose Jacobi
+    sum [[a,b],c] + [[b,c],a] + [[c,a],b] is nonzero, or None.
+
+    ``bracket_terms`` brackets two dicts ``generator -> coefficient``; the
+    generators enter as int unit dicts and the pairwise brackets are
+    tabulated once, so an integer kernel creates no Fraction here.
+    """
+    units = {g: {g: 1} for g in gens}
+    table = {(a, b): bracket_terms(units[a], units[b]) for a in gens for b in gens}
+    for a in gens:
+        for b in gens:
+            ab = table[a, b]
+            for c in gens:
+                acc = bracket_terms(ab, units[c])
+                add_into(acc, bracket_terms(table[b, c], units[a]))
+                add_into(acc, bracket_terms(table[c, a], units[b]))
+                if acc:
+                    return a, b, c
+    return None
+
+
 def check_bracket_jacobi(bound):
     name = "bracket.jacobi"
-    gens = [(n, m) for n in range(bound + 1) for m in range(bound + 1)]
-    count = 0
-    for a in gens:
-        za = {a: Fraction(1)}
-        for b in gens:
-            zb = {b: Fraction(1)}
-            ab = ladder._bracket_z(za, zb)
-            for c in gens:
-                zc = {c: Fraction(1)}
-                count += 1
-                acc = dict(ladder._bracket_z(ab, zc))
-                add_into(acc, ladder._bracket_z(ladder._bracket_z(zb, zc), za))
-                add_into(acc, ladder._bracket_z(ladder._bracket_z(zc, za), zb))
-                if acc:
-                    return _fail(name, "exhaustive window %d" % bound,
-                                 "Z%s, Z%s, Z%s" % (a, b, c))
-    return _ok(name, "%d generator triples" % count)
+    gens, _ = _gen_pairs(bound)
+    bad = _jacobi_window(gens, ladder._bracket_z)
+    if bad is not None:
+        return _fail(name, "exhaustive window %d" % bound, "Z%s, Z%s, Z%s" % bad)
+    return _ok(name, "%d generator triples" % len(gens) ** 3)
 
 
 def check_bracket_grading(bound):
@@ -381,36 +391,31 @@ def check_words_antisymmetry(bound):
 
 def check_words_jacobi(bound):
     name = "words.jacobi"
-    gens = [words.Zw(*g) for g in _word_generators(_two_letter_alphabet(), 2)]
-    count = 0
-    for a in gens:
-        for b in gens:
-            ab = words.bracket_words(a, b)
-            for c in gens:
-                count += 1
-                total = (words.bracket_words(ab, c)
-                         + words.bracket_words(words.bracket_words(b, c), a)
-                         + words.bracket_words(words.bracket_words(c, a), b))
-                if not total.is_zero():
-                    return _fail(name, "words of length <= 2", "%r %r %r" % (a, b, c))
-    return _ok(name, "%d generator triples" % count)
+    gens = _word_generators(_two_letter_alphabet(), 2)
+    bad = _jacobi_window(gens, words._bracket_w)
+    if bad is not None:
+        return _fail(name, "words of length <= 2",
+                     "%r %r %r" % tuple(words.Zw(*g) for g in bad))
+    return _ok(name, "%d generator triples" % len(gens) ** 3)
 
 
 def check_words_action_representation(bound):
     name = "words.action_representation"
     alphabet = _two_letter_alphabet()
-    gens = [words.Zw(*g) for g in _word_generators(alphabet, 2)]
-    targets = [words.WordPoly({w: 1}) for k in range(4) for w in alphabet.words(k)]
+    gens = _word_generators(alphabet, 2)
+    targets = [w for k in range(4) for w in alphabet.words(k)]
+    units = {g: {g: 1} for g in gens}
+    image = {(g, w): words._act_w(units[g], {w: 1}) for g in gens for w in targets}
     for a in gens:
         for b in gens:
-            ab = words.bracket_words(a, b)
-            for p in targets:
-                lhs = words.act_word(ab, p)
-                rhs = (words.act_word(a, words.act_word(b, p))
-                       - words.act_word(b, words.act_word(a, p)))
-                if lhs != rhs:
+            ab = words._bracket_w(units[a], units[b])
+            for w in targets:
+                rhs = words._act_w(units[a], image[b, w])
+                add_into(rhs, words._act_w(units[b], image[a, w]), -1)
+                if words._act_w(ab, {w: 1}) != rhs:
                     return _fail(name, "length <= 2 generators on words <= 3",
-                                 "%r, %r on %r" % (a, b, p))
+                                 "%r, %r on %r" % (words.Zw(*a), words.Zw(*b),
+                                                   words.WordPoly({w: 1})))
     return _ok(name, "%d generator pairs on %d words" % (len(gens) ** 2, len(targets)))
 
 
@@ -597,10 +602,23 @@ _CHECKS = [
 ]
 
 
+#: Most generator triples ``bracket.jacobi`` may check, (bound + 1)**6; the
+#: default admits bounds up to 15.
+MAX_JACOBI_TRIPLES = 2 ** 24
+
+
 def run_verify_suite(bound: int = 4, stop_on_failure: bool = False) -> SuiteReport:
-    """Run every registered check at the given bound, in name order."""
+    """Run every registered check at the given bound, in name order.
+
+    A bound whose Jacobi window exceeds ``MAX_JACOBI_TRIPLES`` is refused
+    with a ValueError before any check runs.
+    """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    triples = (bound + 1) ** 6
+    if triples > MAX_JACOBI_TRIPLES:
+        raise ValueError("bound %d needs %d generator triples for bracket.jacobi, "
+                         "more than the limit of %d" % (bound, triples, MAX_JACOBI_TRIPLES))
     results = []
     ordered = sorted(_CHECKS, key=lambda f: f.__name__)
     for fn in ordered:

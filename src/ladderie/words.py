@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import ladder, ladder_module
-from .linalg import SparseElement, add_into, scalar_from_str, scalar_to_str
+from .linalg import (SparseElement, add_into, numerators, over, scalar_from_json,
+                     scalar_to_str)
 
 Word = tuple  # of letter names
 
@@ -108,12 +109,7 @@ def alphabet_from_json(obj) -> Alphabet:
                              % (name,))
         if type(degree) is not int:
             raise ValueError("letter %r: degree %r is not a JSON integer" % (name, degree))
-        if isinstance(sym, str):
-            sym = scalar_from_str(sym)
-        elif type(sym) is not int:
-            raise ValueError('letter %r: sym %r is neither a JSON integer nor a "p/q" string'
-                             % (name, sym))
-        letters.append(Letter(name, degree, Fraction(sym)))
+        letters.append(Letter(name, degree, scalar_from_json(sym, "letter %r: sym" % name)))
     return Alphabet(letters)
 
 
@@ -151,12 +147,20 @@ def act_on_word(w1: Word, w2: Word, w: Word):
     return None
 
 
-def act_word(g: WordLieElement, p: WordPoly) -> WordPoly:
-    return WordPoly._from_canonical(add_into({}, (
+def _act_w(tg: dict, tp: dict) -> dict:
+    """Action of the generator combination ``tg`` on the word combination
+    ``tp``, as dicts; int coefficients give int results."""
+    return add_into({}, (
         (out, cg * cw)
-        for (w1, w2), cg in g.terms.items()
-        for w, cw in p.terms.items()
-        if (out := act_on_word(w1, w2, w)) is not None)))
+        for (w1, w2), cg in tg.items()
+        for w, cw in tp.items()
+        if (out := act_on_word(w1, w2, w)) is not None))
+
+
+def act_word(g: WordLieElement, p: WordPoly) -> WordPoly:
+    ng, dg = numerators(g.terms)
+    np_, dp = numerators(p.terms)
+    return WordPoly._from_canonical(over(_act_w(ng, np_), dg * dp))
 
 
 def generator_bracket_words(w1: Word, w2: Word, w3: Word, w4: Word) -> dict:
@@ -185,12 +189,21 @@ def generator_bracket_words(w1: Word, w2: Word, w3: Word, w4: Word) -> dict:
     return add_into({}, terms)
 
 
-def bracket_words(a: WordLieElement, b: WordLieElement) -> WordLieElement:
+def _bracket_w(ta: dict, tb: dict) -> dict:
+    """Word bracket of two generator combinations, as dicts; int
+    coefficients give int results.  ``generator_bracket_words`` is looked
+    up at call time, so patching the module attribute reaches every caller."""
     acc: dict = {}
-    for (w1, w2), ca in a.terms.items():
-        for (w3, w4), cb in b.terms.items():
+    for (w1, w2), ca in ta.items():
+        for (w3, w4), cb in tb.items():
             add_into(acc, generator_bracket_words(w1, w2, w3, w4), ca * cb)
-    return WordLieElement._from_canonical(acc)
+    return acc
+
+
+def bracket_words(a: WordLieElement, b: WordLieElement) -> WordLieElement:
+    na, da = numerators(a.terms)
+    nb, db = numerators(b.terms)
+    return WordLieElement._from_canonical(over(_bracket_w(na, nb), da * db))
 
 
 def word_coproduct(w: Word) -> dict:

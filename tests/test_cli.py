@@ -248,3 +248,59 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+def test_verify_refuses_an_oversized_bound(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--bound", "16")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "24137569 generator triples" in err
+
+
+def _betti_of_structure(capsys, tmp_path, structure):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(structure))
+    return run(capsys, "cohomology", "betti", "--structure", str(path))
+
+
+def _heisenberg(**term):
+    return {"labels": ["x", "y", "z"],
+            "brackets": [{"i": 0, "j": 1, "terms": [dict({"k": 2, "c": "1"}, **term)]}]}
+
+
+def test_structure_constant_may_be_a_json_integer(capsys, tmp_path):
+    code, out, err = _betti_of_structure(capsys, tmp_path, _heisenberg(c=1))
+    assert (code, out, err) == (0, "betti = [1, 2, 2, 1]\n", "")
+
+
+def test_structure_file_with_a_fraction_string_gives_its_betti_numbers(capsys, tmp_path):
+    structure = {"labels": ["x", "y"],
+                 "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1, "c": "-3/2"}]}]}
+    code, out, _ = _betti_of_structure(capsys, tmp_path, structure)
+    assert (code, out) == (0, "betti = [1, 1, 0]\n")
+
+
+@pytest.mark.parametrize("structure", [
+    _heisenberg(k=1.5),
+    [1, 2],
+    _heisenberg(c=1.5),
+    _heisenberg(c=True),
+    _heisenberg(k=True),
+    {"labels": ["x", "y", "z"], "brackets": [{"i": "0", "j": 1, "terms": []}]},
+    {"labels": ["x", "y", "z"]},
+    {"labels": "xyz", "brackets": []},
+    {"labels": ["x", "y", "z"], "brackets": [7]},
+    {"labels": ["x", "y", "z"], "brackets": [{"i": 0, "j": 1, "terms": [2]}]},
+    {"labels": ["x", "y", "z"],
+     "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "c": 1}, {"k": 2, "c": -1}]}]},
+    {"labels": ["x", "y", "z"],
+     "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2, "c": 1}]},
+                  {"i": 0, "j": 1, "terms": []}]},
+], ids=["float-index", "top-level-list", "float-constant", "bool-constant", "bool-index",
+        "string-index", "no-brackets", "labels-not-a-list", "bracket-not-an-object",
+        "term-not-an-object", "repeated-k", "repeated-pair"])
+def test_malformed_structure_file_is_usage_error(capsys, tmp_path, structure):
+    code, out, err = _betti_of_structure(capsys, tmp_path, structure)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -15,3 +15,11 @@ def test_suite_passes_and_is_ordered():
 def test_suite_rejects_bad_bound():
     with pytest.raises(ValueError):
         run_verify_suite(0)
+
+
+def test_suite_refuses_a_jacobi_window_over_the_limit():
+    from ladderie import suites
+
+    assert (15 + 1) ** 6 <= suites.MAX_JACOBI_TRIPLES < (16 + 1) ** 6
+    with pytest.raises(ValueError, match="24137569 generator triples"):
+        run_verify_suite(16)

@@ -1,0 +1,217 @@
+"""The integer fast paths of the verify suite against the element-level
+reference checks they replace, and the word kernels on int and Fraction
+inputs."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ladderie import ladder, suites, words
+from ladderie.linalg import add_into
+from ladderie.suites import _fail, _ok, _two_letter_alphabet, _word_generators
+
+# -- reference checks: the element-level bodies the fast paths replace -------
+
+
+def reference_bracket_jacobi(bound):
+    name = "bracket.jacobi"
+    gens = [(n, m) for n in range(bound + 1) for m in range(bound + 1)]
+    count = 0
+    for a in gens:
+        za = {a: Fraction(1)}
+        for b in gens:
+            zb = {b: Fraction(1)}
+            ab = ladder._bracket_z(za, zb)
+            for c in gens:
+                zc = {c: Fraction(1)}
+                count += 1
+                acc = dict(ladder._bracket_z(ab, zc))
+                add_into(acc, ladder._bracket_z(ladder._bracket_z(zb, zc), za))
+                add_into(acc, ladder._bracket_z(ladder._bracket_z(zc, za), zb))
+                if acc:
+                    return _fail(name, "exhaustive window %d" % bound,
+                                 "Z%s, Z%s, Z%s" % (a, b, c))
+    return _ok(name, "%d generator triples" % count)
+
+
+def reference_words_jacobi(bound):
+    name = "words.jacobi"
+    gens = [words.Zw(*g) for g in _word_generators(_two_letter_alphabet(), 2)]
+    count = 0
+    for a in gens:
+        for b in gens:
+            ab = words.bracket_words(a, b)
+            for c in gens:
+                count += 1
+                total = (words.bracket_words(ab, c)
+                         + words.bracket_words(words.bracket_words(b, c), a)
+                         + words.bracket_words(words.bracket_words(c, a), b))
+                if not total.is_zero():
+                    return _fail(name, "words of length <= 2", "%r %r %r" % (a, b, c))
+    return _ok(name, "%d generator triples" % count)
+
+
+def reference_words_action_representation(bound):
+    name = "words.action_representation"
+    alphabet = _two_letter_alphabet()
+    gens = [words.Zw(*g) for g in _word_generators(alphabet, 2)]
+    targets = [words.WordPoly({w: 1}) for k in range(4) for w in alphabet.words(k)]
+    for a in gens:
+        for b in gens:
+            ab = words.bracket_words(a, b)
+            for p in targets:
+                lhs = words.act_word(ab, p)
+                rhs = (words.act_word(a, words.act_word(b, p))
+                       - words.act_word(b, words.act_word(a, p)))
+                if lhs != rhs:
+                    return _fail(name, "length <= 2 generators on words <= 3",
+                                 "%r, %r on %r" % (a, b, p))
+    return _ok(name, "%d generator pairs on %d words" % (len(gens) ** 2, len(targets)))
+
+
+PAIRS = [
+    (suites.check_bracket_jacobi, reference_bracket_jacobi),
+    (suites.check_words_jacobi, reference_words_jacobi),
+    (suites.check_words_action_representation, reference_words_action_representation),
+]
+
+
+def _ladder_drop(skip):
+    def mutant(n, m, l, s):
+        terms = [((l - m + n, s), ladder.theta(l - m)),
+                 ((l, s - n + m), -ladder.theta(s - n)),
+                 ((n - s + l, m), -ladder.theta(n - s)),
+                 ((n, m - l + s), ladder.theta(m - l)),
+                 ((n, s), -ladder.delta(m, l)),
+                 ((l, m), ladder.delta(n, s))]
+        return add_into({}, (t for pos, t in enumerate(terms) if pos != skip))
+    return mutant
+
+
+def _words_drop(skip):
+    def mutant(w1, w2, w3, w4):
+        act = words.act_on_word
+        o1, o2, o3, o4 = act(w1, w2, w3), act(w2, w1, w4), act(w3, w4, w1), act(w4, w3, w2)
+        terms = [(o1 is not None, (o1, w4), 1),
+                 (o2 is not None, (w3, o2), -1),
+                 (o3 is not None, (o3, w2), -1),
+                 (o4 is not None, (w1, o4), 1),
+                 (w2 == w3, (w1, w4), -1),
+                 (w1 == w4, (w3, w2), 1)]
+        return add_into({}, ((key, c) for pos, (live, key, c) in enumerate(terms)
+                             if live and pos != skip))
+    return mutant
+
+
+def test_word_drop_helper_reproduces_the_table_when_nothing_is_dropped():
+    gens = _word_generators(_two_letter_alphabet(), 2)
+    full = _words_drop(None)
+    for g in gens[::5]:
+        for h in gens[::3]:
+            assert full(*g, *h) == words.generator_bracket_words(*g, *h)
+    assert _ladder_drop(None)(2, 1, 1, 3) == ladder.generator_bracket(2, 1, 1, 3)
+
+
+@pytest.mark.parametrize("check, reference", PAIRS,
+                         ids=["bracket.jacobi", "words.jacobi", "words.action_representation"])
+def test_fast_check_equals_reference(check, reference):
+    result = check(2)
+    assert result.passed
+    assert result == reference(2)
+
+
+@pytest.mark.parametrize("check, reference, module, attribute, mutant", [
+    (*PAIRS[0], ladder, "generator_bracket", _ladder_drop(0)),
+    (*PAIRS[0], ladder, "generator_bracket", _ladder_drop(4)),
+    (*PAIRS[1], words, "generator_bracket_words", _words_drop(0)),
+    (*PAIRS[1], words, "generator_bracket_words", _words_drop(5)),
+    (*PAIRS[2], words, "generator_bracket_words", _words_drop(0)),
+    (*PAIRS[2], words, "generator_bracket_words", _words_drop(5)),
+], ids=["bracket.jacobi-drop-0", "bracket.jacobi-drop-4",
+        "words.jacobi-drop-0", "words.jacobi-drop-5",
+        "words.action_representation-drop-0", "words.action_representation-drop-5"])
+def test_fast_check_equals_reference_under_a_dropped_term(monkeypatch, check, reference,
+                                                          module, attribute, mutant):
+    monkeypatch.setattr(module, attribute, mutant)
+    result = check(2)
+    assert not result.passed
+    assert result == reference(2)
+
+
+@pytest.mark.parametrize("skip", range(6))
+def test_each_dropped_word_bracket_term_breaks_the_suite(monkeypatch, skip):
+    monkeypatch.setattr(words, "generator_bracket_words", _words_drop(skip))
+    report = suites.run_verify_suite(3)
+    failed = {r.name for r in report.results if not r.passed}
+    assert not report.passed
+    assert {"words.antisymmetry", "words.jacobi", "words.action_representation",
+            "words.iota_bracket"} <= failed
+
+
+def test_a_dropped_term_reaches_the_fast_checks(monkeypatch):
+    monkeypatch.setattr(ladder, "generator_bracket", _ladder_drop(0))
+    assert not suites.check_bracket_jacobi(2).passed
+    monkeypatch.setattr(words, "generator_bracket_words", _words_drop(0))
+    for check in (suites.check_words_jacobi, suites.check_words_action_representation):
+        result = check(2)
+        assert not result.passed
+        assert "WordLieElement" in result.counterexample
+
+
+# -- the word kernels on int and Fraction dicts -------------------------------
+
+word = st.text("ab", max_size=3).map(tuple)
+int_coeffs = st.integers(-3, 3).filter(bool)
+frac_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+def int_dicts(key):
+    return st.dictionaries(key, int_coeffs, max_size=4)
+
+
+def frac_dicts(key):
+    return st.dictionaries(key, frac_coeffs, max_size=4)
+
+
+gen_key = st.tuples(word, word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_dicts(gen_key), int_dicts(gen_key), int_dicts(word))
+def test_word_kernels_on_ints_give_the_ints_of_the_element_operations(ta, tb, tp):
+    a, b, p = words.WordLieElement(ta), words.WordLieElement(tb), words.WordPoly(tp)
+    br = words._bracket_w(ta, tb)
+    assert all(type(v) is int and v for v in br.values())
+    assert br == words.bracket_words(a, b).terms
+    acted = words._act_w(ta, tp)
+    assert all(type(v) is int and v for v in acted.values())
+    assert acted == words.act_word(a, p).terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(frac_dicts(gen_key), frac_dicts(gen_key), frac_dicts(word))
+def test_word_kernels_on_fractions_equal_the_element_operations(ta, tb, tp):
+    a, b, p = words.WordLieElement(ta), words.WordLieElement(tb), words.WordPoly(tp)
+    assert words._bracket_w(ta, tb) == words.bracket_words(a, b).terms
+    assert words._act_w(ta, tp) == words.act_word(a, p).terms
+
+
+def test_jacobi_window_sees_only_ints():
+    """The window brackets int unit dicts and gets ints back: no Fraction is
+    made inside it, for the ladder and for the word kernel."""
+    seen = []
+
+    def recording(kernel):
+        def bracket_terms(ta, tb):
+            out = kernel(ta, tb)
+            seen.extend(type(v) for d in (ta, tb, out) for v in d.values())
+            return out
+        return bracket_terms
+
+    ladder_gens = [(n, m) for n in range(3) for m in range(3)]
+    assert suites._jacobi_window(ladder_gens, recording(ladder._bracket_z)) is None
+    word_gens = _word_generators(_two_letter_alphabet(), 1)
+    assert suites._jacobi_window(word_gens, recording(words._bracket_w)) is None
+    assert seen and set(seen) == {int}
