@@ -16,7 +16,7 @@ from itertools import product
 
 from . import ladder
 from .glinf import E, GlElement, bracket_ee, embed_to_z
-from .ladder import LieElement, theta, delta
+from .ladder import LieElement, theta
 from .linalg import ExactMatrix, Infeasible, SparseElement, add_into, solve_or_refute
 
 _ZERO = Fraction(0)
@@ -46,20 +46,14 @@ def project_to_c(e: LieElement) -> CElement:
 
 
 def section_generator(d: int) -> dict:
-    return add_into({}, (
-        ((max(d, 0), 0), theta(d)),
-        ((0, max(-d, 0)), theta(-d)),
-        ((0, 0), -delta(d, 0)),
-    ))
+    return {(max(d, 0), max(-d, 0)): 1}
 
 
 def section_s(x: CElement) -> LieElement:
     """Linear section of the projection: degree d lifts to Z[d,0] for d > 0,
     Z[0,-d] for d < 0 and Z[0,0] for d = 0."""
-    acc: dict = {}
-    for d, c in x.terms.items():
-        add_into(acc, section_generator(d), c)
-    return LieElement._from_canonical(acc)
+    return LieElement._from_canonical(
+        {idx: c for d, c in x.terms.items() for idx in section_generator(d)})
 
 
 def alpha_on_generator(d: int, i: int, j: int) -> dict:

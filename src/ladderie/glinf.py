@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .ladder import LieElement, delta
-from .linalg import SparseElement, add_into
+from .linalg import SparseElement, add_into, bilinear
 
 EIndex = tuple  # (i, j), both non-negative
 
@@ -46,11 +46,7 @@ def generator_bracket_ee(i: int, j: int, r: int, k: int) -> dict:
 
 
 def bracket_ee(a: GlElement, b: GlElement) -> GlElement:
-    acc: dict = {}
-    for (i, j), ca in a.e.items():
-        for (r, k), cb in b.e.items():
-            add_into(acc, generator_bracket_ee(i, j, r, k), ca * cb)
-    return GlElement._from_canonical(acc)
+    return GlElement._from_canonical(bilinear(generator_bracket_ee, a.e, b.e))
 
 
 def embed_to_z(g: GlElement) -> LieElement:

@@ -2,15 +2,15 @@
 
 Generators Z[n,m] (n, m >= 0) insert a ladder of length n and eliminate one
 of length m; Y is the grading derivation with [Y, Z[n,m]] = (n-m) Z[n,m].
-The generator bracket is the six-term commutator
+On the ladder module Z[n,m] acts as u^n (u*)^m for the shift u, and u* u = 1,
+so the product of two generators is again one generator (the bicyclic
+monoid):
 
-    [Z[n,m], Z[l,s]] = T(l-m) Z[l-m+n, s] - T(s-n) Z[l, s-n+m]
-                     - T(n-s) Z[n-s+l, m] + T(m-l) Z[n, m-l+s]
-                     - d(m,l) Z[n,s]      + d(n,s) Z[l,m]
+    Z[n,m] Z[l,s] = Z[l-m+n, s]  if l >= m,  else  Z[n, m-l+s].
 
-with T the unit step (T(0) = 1) and d the Kronecker delta; everything else
-is its bilinear antisymmetric extension.  deg Z[n,m] = n - m makes the
-algebra Z-graded; Y has degree 0.
+The bracket is the commutator [a, b] = ab - ba, extended bilinearly;
+expanding both products with the unit step gives the familiar six-term
+formula.  deg Z[n,m] = n - m makes the algebra Z-graded; Y has degree 0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .linalg import SparseElement, add_into, exact_scalar, kernel_rows
+from .linalg import SparseElement, add_into, bilinear, commutator, exact_scalar, kernel_rows
 
 ZIndex = tuple  # (n, m), both non-negative
 
@@ -36,16 +36,17 @@ def delta(a: int, b: int) -> int:
     return 1 if a == b else 0
 
 
+def generator_product(n: int, m: int, l: int, s: int) -> tuple:
+    """Z[n,m] Z[l,s], always exactly one generator."""
+    if theta(l - m):
+        return (l - m + n, s)
+    return (n, m - l + s)
+
+
 def generator_bracket(n: int, m: int, l: int, s: int) -> dict:
-    """[Z[n,m], Z[l,s]] as a sparse integer combination of Z indices."""
-    return add_into({}, (
-        ((l - m + n, s), theta(l - m)),
-        ((l, s - n + m), -theta(s - n)),
-        ((n - s + l, m), -theta(n - s)),
-        ((n, m - l + s), theta(m - l)),
-        ((n, s), -delta(m, l)),
-        ((l, m), delta(n, s)),
-    ))
+    """[Z[n,m], Z[l,s]] as a sparse integer combination of Z indices.
+    ``generator_product`` is looked up at call time."""
+    return commutator(generator_product(n, m, l, s), generator_product(l, s, n, m))
 
 
 class LieElement(SparseElement):
@@ -108,11 +109,7 @@ Y = LieElement(y=1)
 
 
 def _bracket_z(za: Mapping, zb: Mapping) -> dict:
-    acc: dict = {}
-    for (n, m), ca in za.items():
-        for (l, s), cb in zb.items():
-            add_into(acc, generator_bracket(n, m, l, s), ca * cb)
-    return acc
+    return bilinear(generator_bracket, za, zb)
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -180,12 +177,8 @@ class GeneratorDecomposition:
 def decompose_generator(n: int, m: int) -> GeneratorDecomposition:
     if n < 0 or m < 0:
         raise ValueError("negative Z index")
-    tail = add_into({}, (
-        ((n - m, 0), theta(n - m)),
-        ((0, m - n), theta(m - n)),
-        ((0, 0), -delta(n - m, 0)),
-    ))
-    return GeneratorDecomposition(Z(n, 0), Z(0, m), LieElement(tail))
+    # Z[n,0] Z[0,m] = Z[n,m], so the tail is the swapped product Z[0,m] Z[n,0]
+    return GeneratorDecomposition(Z(n, 0), Z(0, m), Z(*generator_product(0, m, n, 0)))
 
 
 def centralizer_basis(test_set, bound: int, degree_filter=None) -> list:

@@ -103,6 +103,26 @@ def add_into(acc: dict, entries, scale=None) -> dict:
     return acc
 
 
+def commutator(ab, ba) -> dict:
+    """``ab - ba`` for two single keys, None meaning a zero product."""
+    if ab == ba:
+        return {}
+    out = {} if ab is None else {ab: 1}
+    if ba is not None:
+        out[ba] = -1
+    return out
+
+
+def bilinear(table, ta: Mapping, tb: Mapping) -> dict:
+    """``table(a1, a2, b1, b2) -> dict`` extended bilinearly to pair-keyed
+    dicts; int coefficients give int results."""
+    acc: dict = {}
+    for (a1, a2), ca in ta.items():
+        for (b1, b2), cb in tb.items():
+            add_into(acc, table(a1, a2, b1, b2), ca * cb)
+    return acc
+
+
 def numerators(terms: Mapping) -> tuple:
     """``terms`` over their common denominator: ``(nums, den)`` with int
     ``nums[key] == terms[key] * den``, so an integer kernel can run on

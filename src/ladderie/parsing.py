@@ -9,6 +9,9 @@ Grammar (round-trips bit-exactly with the printers):
              | "t[" k "]" ("^" power)? | "C[" d "]"
     coeff   := int | int "/" int
 
+A word element reads its Z atoms as "Z[" word "," word "]", a word being
+letter names run together or "e" for the empty word.
+
 Z, E and t indices must be non-negative; C degrees may be signed.  Bare
 rational constants denote multiples of the unit monomial and are only legal
 in ladder polynomials (except the literal "0", which is the zero element of
@@ -63,9 +66,13 @@ def _tokenize(src: str):
 
 
 class _Parser:
-    def __init__(self, src: str):
+    """Recursive-descent reader of the element grammar.  With an
+    ``alphabet``, Z atoms carry a pair of words instead of two indices."""
+
+    def __init__(self, src: str, alphabet=None):
         self.tokens = _tokenize(src)
         self.k = 0
+        self.alphabet = alphabet
 
     def peek(self):
         return self.tokens[self.k]
@@ -131,7 +138,7 @@ class _Parser:
         if text == "Y":
             return ("Y", None)
         if text == "Z":
-            return ("Z", self.index_pair())
+            return ("Z", self.index_pair(words=self.alphabet is not None))
         if text == "E":
             return ("E", self.index_pair())
         if text == "t":
@@ -148,13 +155,28 @@ class _Parser:
             return ("C", (self.index_single(signed=True),))
         raise ParseError("unknown generator %r" % text, pos)
 
-    def index_pair(self):
+    def index_pair(self, words: bool = False):
+        read = self.word if words else lambda: self.integer(signed=False)
         self.take("[")
-        a = self.integer(signed=False)
+        a = read()
         self.take(",")
-        b = self.integer(signed=False)
+        b = read()
         self.take("]")
         return (a, b)
+
+    def word(self):
+        """Word text form: concatenated single-character letter names, or "e"."""
+        _, text, pos = self.take("NAME")
+        if text == "e":
+            return ()
+        for name in self.alphabet.names:
+            if len(name) != 1 or name == "e":
+                raise ParseError("alphabet has names unusable in text form "
+                                 "(need single characters other than 'e')", pos)
+        for ch in text:
+            if ch not in self.alphabet:
+                raise ParseError("unknown letter %r" % ch, pos)
+        return tuple(text)
 
     def index_single(self, signed: bool):
         self.take("[")
@@ -234,19 +256,12 @@ def parse_element(src: str):
     gl element, C a quotient element, t (or none) a ladder polynomial."""
     terms = _Parser(src).parse_terms()
     kinds = {kind for _, atoms, _ in terms for kind, _ in atoms}
-    if kinds & {"Z", "Y"}:
-        if kinds - {"Z", "Y"}:
-            raise ParseError("mixed generator families",
-                             _first_outside(terms, ("Z", "Y")))
-        return parse_lie_element(src)
-    if "E" in kinds:
-        if kinds != {"E"}:
-            raise ParseError("mixed generator families", _first_outside(terms, ("E",)))
-        return parse_gl_element(src)
-    if "C" in kinds:
-        if kinds != {"C"}:
-            raise ParseError("mixed generator families", _first_outside(terms, ("C",)))
-        return parse_c_element(src)
+    for family, parse in ((("Z", "Y"), parse_lie_element), (("E",), parse_gl_element),
+                          (("C",), parse_c_element)):
+        if kinds & set(family):
+            if kinds - set(family):
+                raise ParseError("mixed generator families", _first_outside(terms, family))
+            return parse(src)
     return parse_ladder_poly(src)
 
 
@@ -319,70 +334,10 @@ def format_word_element(wle: WordLieElement) -> str:
     return _join_terms(parts)
 
 
-def _split_word(text: str, pos: int, alphabet) -> tuple:
-    """Word text form: concatenated single-character letter names, or "e"."""
-    if text == "e":
-        return ()
-    for name in alphabet.names:
-        if len(name) != 1 or name == "e":
-            raise ParseError("alphabet has names unusable in text form "
-                             "(need single characters other than 'e')", pos)
-    letters = tuple(text)
-    for ch in letters:
-        if ch not in alphabet:
-            raise ParseError("unknown letter %r" % ch, pos)
-    return letters
-
-
 def parse_word_element(src: str, alphabet) -> WordLieElement:
     """Combinations of word generators Z[w1,w2] over the given alphabet."""
-    parser = _Parser(src)
-    # re-tokenize lazily: reuse the scaffolding but interpret Z payloads as words
-    terms = []
-    sign = 1
-    tok = parser.peek()
-    if tok[0] == "-":
-        parser.take()
-        sign = -1
-    elif tok[0] == "+":
-        parser.take()
-    while True:
-        coeff = Fraction(sign)
-        if parser.peek()[0] == "INT":
-            coeff *= parser.rational()
-            if parser.peek()[0] != "*":
-                if coeff:
-                    raise ParseError("bare constant in a word element",
-                                     parser.peek()[2])
-                nxt = parser.peek()
-                if nxt[0] == "EOF":
-                    break
-                if nxt[0] not in ("+", "-"):
-                    raise ParseError("expected + or -, found %r" % nxt[1], nxt[2])
-                sign = -1 if parser.take()[0] == "-" else 1
-                continue
-            parser.take("*")
-        name = parser.take("NAME")
-        if name[1] != "Z":
-            raise ParseError("expected a word generator Z[..,..]", name[2])
-        parser.take("[")
-        w1 = _word_token(parser, alphabet)
-        parser.take(",")
-        w2 = _word_token(parser, alphabet)
-        parser.take("]")
-        terms.append(((w1, w2), coeff))
-        nxt = parser.peek()
-        if nxt[0] == "EOF":
-            break
-        if nxt[0] not in ("+", "-"):
-            raise ParseError("expected + or -, found %r" % nxt[1], nxt[2])
-        sign = -1 if parser.take()[0] == "-" else 1
-    return WordLieElement(terms)
-
-
-def _word_token(parser: _Parser, alphabet):
-    tok = parser.take("NAME")
-    return _split_word(tok[1], tok[2], alphabet)
+    return WordLieElement((payload, coeff) for coeff, (_, payload) in _single_atom(
+        _Parser(src, alphabet).parse_terms(), ("Z",), "a word element"))
 
 
 def lie_to_json(e: LieElement) -> dict:

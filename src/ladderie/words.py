@@ -6,9 +6,10 @@ Words are tuples of letter names; the empty tuple is the unit word.  Each
 letter carries a loop degree (>= 1) and a symmetry weight; a word's alpha
 order is the sum of its letter degrees, its augmentation degree is its
 letter count.  Generators Z[w1,w2] replace the prefix w2 by w1 and kill
-words not starting with w2; the bracket mirrors the six-term ladder
-commutator, where an action-indexed term is dropped whenever the inner
-action vanishes.
+words not starting with w2, so a product of two is one generator or zero:
+Z[w1,w2] Z[w3,w4] is Z[w1 r, w4] if w3 = w2 r, Z[w1, w4 r] if w2 = w3 r
+(the polycyclic monoid of prefix replacements).  The bracket is the
+commutator [a, b] = ab - ba, as in ``ladder``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import ladder, ladder_module
-from .linalg import (SparseElement, add_into, numerators, over, scalar_from_json,
-                     scalar_to_str)
+from .linalg import (SparseElement, add_into, bilinear, commutator, numerators, over,
+                     scalar_from_json, scalar_to_str)
 
 Word = tuple  # of letter names
 
@@ -92,8 +93,9 @@ class Alphabet:
 def alphabet_from_json(obj) -> Alphabet:
     """Load {"letters": [{"name", "degree", "sym"}, ...]}.
 
-    A name is one character other than "e", because the text form of a word
-    concatenates letter names and writes the empty word as "e"; ``degree``
+    A name is one letter or "_" other than "e", because the text form of a
+    word runs letter names together as one name token of the element
+    grammar and writes the empty word as "e"; ``degree``
     is a JSON integer and ``sym`` a JSON integer or a "p/q" string, so no
     value is rounded.  Anything else raises ValueError.
     """
@@ -104,8 +106,9 @@ def alphabet_from_json(obj) -> Alphabet:
         if not isinstance(item, dict):
             raise ValueError("alphabet letter %r is not a JSON object" % (item,))
         name, degree, sym = item.get("name"), item.get("degree"), item.get("sym", "1")
-        if not isinstance(name, str) or len(name) != 1 or name == "e":
-            raise ValueError("letter name %r is not a single character other than 'e'"
+        if not (isinstance(name, str) and len(name) == 1 and name != "e"
+                and (name.isalpha() or name == "_")):
+            raise ValueError("letter name %r is not a single letter or '_' other than 'e'"
                              % (name,))
         if type(degree) is not int:
             raise ValueError("letter %r: degree %r is not a JSON integer" % (name, degree))
@@ -163,41 +166,29 @@ def act_word(g: WordLieElement, p: WordPoly) -> WordPoly:
     return WordPoly._from_canonical(over(_act_w(ng, np_), dg * dp))
 
 
-def generator_bracket_words(w1: Word, w2: Word, w3: Word, w4: Word) -> dict:
-    """Six-term word bracket of Z[w1,w2] and Z[w3,w4].
-
-    Action-indexed terms contribute only when the inner prefix replacement
-    succeeds; the two Kronecker terms compare whole words.
-    """
-    terms = []
+def generator_product_words(w1: Word, w2: Word, w3: Word, w4: Word):
+    """Z[w1,w2] Z[w3,w4]: one generator (w1', w4') or None for zero."""
     out = act_on_word(w1, w2, w3)
     if out is not None:
-        terms.append(((out, w4), 1))
-    out = act_on_word(w2, w1, w4)
-    if out is not None:
-        terms.append(((w3, out), -1))
-    out = act_on_word(w3, w4, w1)
-    if out is not None:
-        terms.append(((out, w2), -1))
+        return (out, w4)
     out = act_on_word(w4, w3, w2)
     if out is not None:
-        terms.append(((w1, out), 1))
-    if w2 == w3:
-        terms.append(((w1, w4), -1))
-    if w1 == w4:
-        terms.append(((w3, w2), 1))
-    return add_into({}, terms)
+        return (w1, out)
+    return None
+
+
+def generator_bracket_words(w1: Word, w2: Word, w3: Word, w4: Word) -> dict:
+    """[Z[w1,w2], Z[w3,w4]]; ``generator_product_words`` is looked up at
+    call time."""
+    return commutator(generator_product_words(w1, w2, w3, w4),
+                      generator_product_words(w3, w4, w1, w2))
 
 
 def _bracket_w(ta: dict, tb: dict) -> dict:
     """Word bracket of two generator combinations, as dicts; int
     coefficients give int results.  ``generator_bracket_words`` is looked
     up at call time, so patching the module attribute reaches every caller."""
-    acc: dict = {}
-    for (w1, w2), ca in ta.items():
-        for (w3, w4), cb in tb.items():
-            add_into(acc, generator_bracket_words(w1, w2, w3, w4), ca * cb)
-    return acc
+    return bilinear(generator_bracket_words, ta, tb)
 
 
 def bracket_words(a: WordLieElement, b: WordLieElement) -> WordLieElement:
@@ -301,26 +292,43 @@ class DseExpansion:
     d: tuple
 
 
+#: dse_expand refuses expansions holding more letters than this.
+MAX_DSE_LETTERS = 2 ** 24
+
+
+def _dse_letters(alphabet: Alphabet, order: int) -> int:
+    """Letters of the expansion, each alpha order counting 32 more for its
+    two parts; the count stops once it passes ``MAX_DSE_LETTERS``."""
+    words, letters, total = [1], [0], 32
+    for j in range(1, order + 1):
+        prev = [j - l.degree for l in alphabet if l.degree <= j]
+        words.append(sum(words[i] for i in prev))
+        letters.append(sum(letters[i] + words[i] for i in prev))
+        total += letters[j] + 32
+        if total > MAX_DSE_LETTERS:
+            break
+    return total
+
+
 def dse_expand(alphabet: Alphabet, order: int) -> DseExpansion:
-    """Iterate the fixpoint G = 1 + sum over letters of (1/sym) prepend(G)
-    truncated at alpha order ``order``, then regrade."""
+    """Solve G = 1 + sum over letters of (1/sym) prepend(G) to alpha order
+    ``order`` in one pass: a word of order j is a letter followed by a word
+    of order j - degree.  Then regrade by letter count."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    gamma = {EMPTY_WORD: Fraction(1)}
-    for _ in range(order):
-        new = {EMPTY_WORD: Fraction(1)}
-        for letter in alphabet:
-            weight = 1 / letter.sym
-            for word, c in gamma.items():
-                grown = (letter.name,) + word  # letter names are unique: each arises once
-                if alphabet.alpha_degree(grown) <= order:
-                    new[grown] = weight * c
-        gamma = new
-    c_parts = [dict() for _ in range(order + 1)]
+    size = _dse_letters(alphabet, order)
+    if size > MAX_DSE_LETTERS:
+        raise ValueError("the expansion to order %d needs at least %d letters (each order "
+                         "counts 32), more than the limit of %d" % (order, size, MAX_DSE_LETTERS))
+    c_parts = [{EMPTY_WORD: Fraction(1)}]
+    for j in range(1, order + 1):  # letter names are unique: each word arises once
+        c_parts.append({(l.name,) + word: coeff / l.sym
+                        for l in alphabet if l.degree <= j
+                        for word, coeff in c_parts[j - l.degree].items()})
     d_parts = [dict() for _ in range(order + 1)]
-    for word, coeff in gamma.items():
-        c_parts[alphabet.alpha_degree(word)][word] = coeff
-        d_parts[len(word)][word] = coeff
+    for part in c_parts:
+        for word, coeff in part.items():
+            d_parts[len(word)][word] = coeff
     return DseExpansion(order,
                         tuple(WordPoly(p) for p in c_parts),
                         tuple(WordPoly(p) for p in d_parts))

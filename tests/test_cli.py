@@ -304,3 +304,36 @@ def test_malformed_structure_file_is_usage_error(capsys, tmp_path, structure):
     code, out, err = _betti_of_structure(capsys, tmp_path, structure)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["1", "+", " ", "[", ","])
+def test_letter_names_outside_the_grammar_are_usage_errors(capsys, tmp_path, name):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps({"letters": [{"name": "a", "degree": 1},
+                                            {"name": name, "degree": 1}]}))
+    for argv in (["words", "iota", "--n", "1", "--m", "0"], ["dse", "expand", "--order", "1"]):
+        code, out, err = run(capsys, *argv, "--alphabet", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_underscore_letter_round_trips_through_words_bracket(capsys, tmp_path):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps({"letters": [{"name": "a", "degree": 1},
+                                            {"name": "_", "degree": 2}]}))
+    code, out, _ = run(capsys, "words", "iota", "--alphabet", str(path), "--n", "1", "--m", "0")
+    assert code == 0 and out.strip() == "Z[_,e] + Z[a,e]"
+    code, out, _ = run(capsys, "words", "bracket", "--alphabet", str(path),
+                       out.strip(), "Z[e,_]")
+    assert code == 0 and out.strip() == "-Z[e,e] + Z[_,_] + Z[a,_]"
+    code, again, _ = run(capsys, "words", "bracket", "--alphabet", str(path),
+                         out.strip(), "0")
+    assert code == 0 and again.strip() == "0"
+
+
+def test_dse_expand_refuses_an_oversized_expansion(capsys, alphabet_file):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dse", "expand", "--alphabet", alphabet_file, "--order", "40")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "letters" in err

@@ -67,3 +67,34 @@ def test_order_zero_and_validation():
     assert exp.c[0] == WordPoly({(): 1})
     with pytest.raises(ValueError):
         dse_expand(Alphabet([Letter("a", 1)]), -1)
+
+
+def test_oversized_expansions_are_refused_before_any_work():
+    from ladderie.words import MAX_DSE_LETTERS
+
+    two = Alphabet([Letter("a", 1), Letter("b", 2)])
+    one = Alphabet([Letter("a", 1)])
+    assert len(dse_expand(two, 25).c) == 26
+    assert len(dse_expand(one, 5000).c[5000].terms) == 1
+    for alphabet, order in ((two, 30), (one, 6000), (Alphabet([Letter("a", 10 ** 9)]), 10 ** 12)):
+        with pytest.raises(ValueError, match="limit of %d" % MAX_DSE_LETTERS):
+            dse_expand(alphabet, order)
+
+
+def test_one_pass_expansion_matches_the_fixpoint_iteration():
+    alphabet = Alphabet([Letter("a", 1), Letter("b", 2, F(2)), Letter("c", 3, F(3, 2))])
+    for order in (0, 1, 5, 9):
+        gamma = {(): F(1)}
+        for _ in range(order):
+            new = {(): F(1)}
+            for letter in alphabet:
+                for word, c in gamma.items():
+                    grown = (letter.name,) + word
+                    if alphabet.alpha_degree(grown) <= order:
+                        new[grown] = c / letter.sym
+            gamma = new
+        exp = dse_expand(alphabet, order)
+        for j in range(order + 1):
+            assert exp.c[j] == WordPoly({w: c for w, c in gamma.items()
+                                         if alphabet.alpha_degree(w) == j})
+            assert exp.d[j] == WordPoly({w: c for w, c in gamma.items() if len(w) == j})

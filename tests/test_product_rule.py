@@ -1,0 +1,190 @@
+"""Generator brackets as commutators of one-term generator products.
+
+The six-term bracket formulas are kept here as references; the products are
+checked for associativity, the one-term tail and section against their old
+step-function sums, and mutated products against the verify suite."""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ladderie import extension, ladder, suites, words
+from ladderie.linalg import add_into, bilinear, commutator
+from ladderie.parsing import format_word_element, parse_word_element
+
+
+def theta(k):
+    return 1 if k >= 0 else 0
+
+
+def delta(a, b):
+    return 1 if a == b else 0
+
+
+def six_term_ladder(n, m, l, s):
+    return add_into({}, (
+        ((l - m + n, s), theta(l - m)),
+        ((l, s - n + m), -theta(s - n)),
+        ((n - s + l, m), -theta(n - s)),
+        ((n, m - l + s), theta(m - l)),
+        ((n, s), -delta(m, l)),
+        ((l, m), delta(n, s)),
+    ))
+
+
+def six_term_words(w1, w2, w3, w4):
+    act = words.act_on_word
+    terms = []
+    for out, key, sign in ((act(w1, w2, w3), lambda o: (o, w4), 1),
+                           (act(w2, w1, w4), lambda o: (w3, o), -1),
+                           (act(w3, w4, w1), lambda o: (o, w2), -1),
+                           (act(w4, w3, w2), lambda o: (w1, o), 1)):
+        if out is not None:
+            terms.append((key(out), sign))
+    terms.append(((w1, w4), -delta(w2, w3)))
+    terms.append(((w3, w2), delta(w1, w4)))
+    return add_into({}, terms)
+
+
+def _words(max_len, letters="ab"):
+    return [w for k in range(max_len + 1) for w in product(letters, repeat=k)]
+
+
+def test_commutator_helper():
+    assert commutator((1, 2), (1, 2)) == {}
+    assert commutator(None, None) == {}
+    assert commutator((1, 2), None) == {(1, 2): 1}
+    assert commutator(None, (3, 4)) == {(3, 4): -1}
+    assert commutator((1, 2), (3, 4)) == {(1, 2): 1, (3, 4): -1}
+
+
+def test_bilinear_helper_matches_the_double_loop():
+    ta = {(0, 1): 2, (2, 0): -1}
+    tb = {(1, 1): 3, (0, 2): Fraction(1, 2)}
+    expected = {}
+    for (n, m), ca in ta.items():
+        for (l, s), cb in tb.items():
+            add_into(expected, six_term_ladder(n, m, l, s), ca * cb)
+    assert bilinear(ladder.generator_bracket, ta, tb) == expected
+    assert bilinear(ladder.generator_bracket, {}, tb) == {}
+
+
+def test_ladder_commutator_equals_the_six_term_formula():
+    for quad in product(range(12), repeat=4):
+        assert ladder.generator_bracket(*quad) == six_term_ladder(*quad), quad
+
+
+def test_word_commutator_equals_the_six_term_formula():
+    ws = _words(3)
+    assert len(ws) ** 4 == 50625
+    for quad in product(ws, repeat=4):
+        assert words.generator_bracket_words(*quad) == six_term_words(*quad), quad
+
+
+def test_ladder_product_is_one_generator_and_associative():
+    gens = list(product(range(6), repeat=2))
+    mul = ladder.generator_product
+    for a in gens:
+        for b in gens:
+            ab = mul(*a, *b)
+            assert min(ab) >= 0 and ab[0] - ab[1] == (a[0] - a[1]) + (b[0] - b[1])
+            for c in gens:
+                assert mul(*ab, *c) == mul(*a, *mul(*b, *c))
+
+
+def test_word_product_is_associative_with_none_absorbing():
+    def mul(x, y):
+        if x is None or y is None:
+            return None
+        return words.generator_product_words(*x, *y)
+
+    ws = _words(1)
+    gens = [None] + list(product(ws, repeat=2))
+    assert len(gens) == 10
+    for a in gens:
+        for b in gens:
+            ab = mul(a, b)
+            for c in gens:
+                assert mul(ab, c) == mul(a, mul(b, c)), (a, b, c)
+    gens = list(product(_words(2), repeat=2))
+    for a, b, c in product(gens, repeat=3):
+        assert mul(mul(a, b), c) == mul(a, mul(b, c)), (a, b, c)
+
+
+def test_word_product_acts_as_the_composed_prefix_replacements():
+    ws = _words(2)
+    targets = _words(4)
+    for a, b in product(product(ws, repeat=2), repeat=2):
+        ab = words.generator_product_words(*a, *b)
+        for w in targets:
+            inner = words.act_on_word(*b, w)
+            composed = None if inner is None else words.act_on_word(*a, inner)
+            assert (None if ab is None else words.act_on_word(*ab, w)) == composed
+
+
+def test_decomposition_tail_and_section_equal_the_old_step_sums():
+    for n in range(13):
+        for m in range(13):
+            old_tail = add_into({}, (((n - m, 0), theta(n - m)),
+                                     ((0, m - n), theta(m - n)),
+                                     ((0, 0), -delta(n - m, 0))))
+            assert ladder.decompose_generator(n, m).tail == ladder.LieElement(old_tail)
+    for d in range(-12, 13):
+        old_section = add_into({}, (((max(d, 0), 0), theta(d)),
+                                    ((0, max(-d, 0)), theta(-d)),
+                                    ((0, 0), -delta(d, 0))))
+        assert extension.section_generator(d) == old_section
+
+
+def _ladder_off_by_one_first(n, m, l, s):
+    return (l - m + n + 1, s) if ladder.theta(l - m) else (n, m - l + s)
+
+
+def _ladder_off_by_one_second(n, m, l, s):
+    return (l - m + n, s) if ladder.theta(l - m) else (n, m - l + s + 1)
+
+
+def _words_off_by_one(branch):
+    def mutant(w1, w2, w3, w4):
+        out = words.act_on_word(w1, w2, w3)
+        if out is not None:
+            return (out + ("a",) * (branch == 0), w4)
+        out = words.act_on_word(w4, w3, w2)
+        if out is not None:
+            return (w1, out + ("a",) * (branch == 1))
+        return None
+    return mutant
+
+
+_LADDER_PRODUCT = ladder.generator_product
+_WORD_PRODUCT = words.generator_product_words
+
+
+@pytest.mark.parametrize("module, attribute, mutant", [
+    (ladder, "generator_product", _ladder_off_by_one_first),
+    (ladder, "generator_product", _ladder_off_by_one_second),
+    (ladder, "generator_product", lambda n, m, l, s: _LADDER_PRODUCT(l, s, n, m)),
+    (words, "generator_product_words", _words_off_by_one(0)),
+    (words, "generator_product_words", _words_off_by_one(1)),
+    (words, "generator_product_words", lambda a, b, c, d: _WORD_PRODUCT(c, d, a, b)),
+], ids=["ladder-first-branch", "ladder-second-branch", "ladder-sides-swapped",
+        "words-first-branch", "words-second-branch", "words-sides-swapped"])
+def test_a_mutated_product_breaks_the_suite(monkeypatch, module, attribute, mutant):
+    monkeypatch.setattr(module, attribute, mutant)
+    assert not suites.run_verify_suite(3, stop_on_failure=True).passed
+
+
+_LETTERS = ("a", "b", "_")
+_WORD = st.lists(st.sampled_from(_LETTERS), max_size=3).map(tuple)
+_COEFF = st.fractions(max_denominator=6).filter(lambda c: abs(c.numerator) < 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(_WORD, _WORD), _COEFF, max_size=5))
+def test_word_element_text_round_trip(terms):
+    alphabet = words.Alphabet([words.Letter(name, 1) for name in _LETTERS])
+    x = words.WordLieElement(terms)
+    assert parse_word_element(format_word_element(x), alphabet) == x
