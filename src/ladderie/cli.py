@@ -9,11 +9,12 @@ the expression from stdin.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import cohomology, extension, glinf, ladder, ladder_module, parsing, suites, words
-from .linalg import scalar_from_json, scalar_to_str
+from .linalg import int_from_json, scalar_from_json, scalar_to_str
 from .parsing import ParseError
 
 
@@ -179,14 +180,11 @@ def _cmd_dse_expand(args) -> int:
                "c": [_word_poly_payload(p, alphabet) for p in exp.c],
                "d": [_word_poly_payload(p, alphabet) for p in exp.d]}
     lines = []
-    for j, poly in enumerate(exp.c):
-        body = " + ".join("%s %s" % (scalar_to_str(c), parsing.format_word(w))
-                          for w, c in sorted(poly.terms.items()))
-        lines.append("c[%d] = %s" % (j, body or "0"))
-    for j, poly in enumerate(exp.d):
-        body = " + ".join("%s %s" % (scalar_to_str(c), parsing.format_word(w))
-                          for w, c in sorted(poly.terms.items()))
-        lines.append("d[%d] = %s" % (j, body or "0"))
+    for grading, polys in (("c", exp.c), ("d", exp.d)):
+        for j, poly in enumerate(polys):
+            body = " + ".join("%s %s" % (scalar_to_str(c), parsing.format_word(w))
+                              for w, c in sorted(poly.terms.items()))
+            lines.append("%s[%d] = %s" % (grading, j, body or "0"))
     return _emit(args, "value", payload, "\n".join(lines))
 
 
@@ -229,22 +227,15 @@ def _algebra_from_json(obj) -> cohomology.FiniteLieAlgebra:
         for term in item["terms"]:
             if not isinstance(term, dict):
                 raise ValueError("bracket term %r is not a JSON object" % (term,))
-            k = _json_int(term, "k")
+            k = int_from_json(term.get("k"), "structure index k")
             if k in vec:
                 raise ValueError("structure index k = %d repeated in one bracket" % k)
             vec[k] = scalar_from_json(term.get("c"), "structure constant")
-        pair = (_json_int(item, "i"), _json_int(item, "j"))
+        pair = tuple(int_from_json(item.get(key), "structure index " + key) for key in "ij")
         if pair in structure:
             raise ValueError("bracket (%d, %d) given twice" % pair)
         structure[pair] = vec
     return cohomology.FiniteLieAlgebra(obj["labels"], structure)
-
-
-def _json_int(obj: dict, key: str) -> int:
-    value = obj.get(key)
-    if type(value) is not int:
-        raise ValueError("structure index %s = %r is not a JSON integer" % (key, value))
-    return value
 
 
 def _cmd_cohomology_h1(args) -> int:
@@ -258,25 +249,14 @@ def _cmd_cohomology_h1(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = suites.run_verify_suite(args.bound)
-    if getattr(args, "json", False):
-        payload = {"bound": report.bound, "passed": report.passed,
-                   "checks": [{"name": r.name, "passed": r.passed,
-                               "detail": r.detail,
-                               "counterexample": r.counterexample}
-                              for r in report.results]}
-        print(json.dumps({"schema": 1,
-                          "status": "pass" if report.passed else "fail",
-                          "payload": payload}, sort_keys=True))
-    else:
-        for r in report.results:
-            mark = "PASS" if r.passed else "FAIL"
-            line = "%s %s (%s)" % (mark, r.name, r.detail)
-            if not r.passed and r.counterexample:
-                line += ": %s" % r.counterexample
-            print(line)
-        print("verify: %s at bound %d"
-              % ("all checks passed" if report.passed else "FAILURES", report.bound))
-    return 0 if report.passed else 1
+    payload = {"bound": report.bound, "passed": report.passed,
+               "checks": [dataclasses.asdict(r) for r in report.results]}
+    lines = ["%s %s (%s)" % ("PASS" if r.passed else "FAIL", r.name, r.detail)
+             + ("" if r.passed or not r.counterexample else ": %s" % r.counterexample)
+             for r in report.results]
+    lines.append("verify: %s at bound %d"
+                 % ("all checks passed" if report.passed else "FAILURES", report.bound))
+    return _emit(args, "pass" if report.passed else "fail", payload, "\n".join(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:

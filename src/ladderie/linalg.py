@@ -51,6 +51,16 @@ def scalar_from_json(value, what: str) -> Fraction:
     return Fraction(value)
 
 
+def int_from_json(value, what: str, signed: bool = True) -> int:
+    """A JSON integer as an int, and with ``signed`` false a non-negative
+    one.  A float, a bool or any other JSON value raises ValueError naming
+    ``what``, so nothing is truncated."""
+    if type(value) is not int or (value < 0 and not signed):
+        raise ValueError("%s = %r is not a %sJSON integer"
+                         % (what, value, "" if signed else "non-negative "))
+    return value
+
+
 def scalar_to_str(value) -> str:
     """Render exactly as "p/q", or "p" when the denominator is 1."""
     value = Fraction(value)

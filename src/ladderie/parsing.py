@@ -26,7 +26,7 @@ from .extension import CElement
 from .glinf import GlElement
 from .ladder import LieElement
 from .ladder_module import LadderPoly
-from .linalg import scalar_from_str, scalar_to_str
+from .linalg import int_from_json, scalar_from_json, scalar_to_str
 from .words import WordLieElement
 
 
@@ -169,10 +169,9 @@ class _Parser:
         _, text, pos = self.take("NAME")
         if text == "e":
             return ()
-        for name in self.alphabet.names:
-            if len(name) != 1 or name == "e":
-                raise ParseError("alphabet has names unusable in text form "
-                                 "(need single characters other than 'e')", pos)
+        if "e" in self.alphabet:
+            raise ParseError("alphabet has names unusable in text form "
+                             "(need single characters other than 'e')", pos)
         for ch in text:
             if ch not in self.alphabet:
                 raise ParseError("unknown letter %r" % ch, pos)
@@ -208,11 +207,10 @@ def _single_atom(terms, kinds, what):
         yield coeff, atoms[0]
 
 
-def parse_lie_element(src: str) -> LieElement:
+def _lie_from_terms(terms) -> LieElement:
     z = []
     y = Fraction(0)
-    for coeff, (kind, payload) in _single_atom(_Parser(src).parse_terms(),
-                                               ("Z", "Y"), "a Z/Y element"):
+    for coeff, (kind, payload) in _single_atom(terms, ("Z", "Y"), "a Z/Y element"):
         if kind == "Y":
             y += coeff
         else:
@@ -220,35 +218,38 @@ def parse_lie_element(src: str) -> LieElement:
     return LieElement(z, y)
 
 
-def parse_gl_element(src: str) -> GlElement:
+def _gl_from_terms(terms) -> GlElement:
     return GlElement((payload, coeff) for coeff, (_, payload) in _single_atom(
-        _Parser(src).parse_terms(), ("E",), "an E element"))
+        terms, ("E",), "an E element"))
+
+
+def _c_from_terms(terms) -> CElement:
+    return CElement((payload[0], coeff) for coeff, (_, payload) in _single_atom(
+        terms, ("C",), "a C element"))
+
+
+def _ladder_from_terms(terms) -> LadderPoly:
+    for _, atoms, pos in terms:
+        if any(kind != "T" for kind, _ in atoms):
+            raise ParseError("expected a t generator", pos)
+    return LadderPoly(([k for _, (k, power) in atoms for _ in range(power)], coeff)
+                      for coeff, atoms, _ in terms)
+
+
+def parse_lie_element(src: str) -> LieElement:
+    return _lie_from_terms(_Parser(src).parse_terms())
+
+
+def parse_gl_element(src: str) -> GlElement:
+    return _gl_from_terms(_Parser(src).parse_terms())
 
 
 def parse_c_element(src: str) -> CElement:
-    return CElement((payload[0], coeff) for coeff, (_, payload) in _single_atom(
-        _Parser(src).parse_terms(), ("C",), "a C element"))
+    return _c_from_terms(_Parser(src).parse_terms())
 
 
 def parse_ladder_poly(src: str) -> LadderPoly:
-    terms = []
-    for coeff, atoms, pos in _Parser(src).parse_terms():
-        mono = []
-        for kind, payload in atoms:
-            if kind != "T":
-                raise ParseError("expected a t generator", pos)
-            k, power = payload
-            mono.extend([k] * power)
-        terms.append((mono, coeff))
-    return LadderPoly(terms)
-
-
-def _first_outside(terms, allowed):
-    for _, atoms, pos in terms:
-        for kind, _ in atoms:
-            if kind not in allowed:
-                return pos
-    return terms[0][2]
+    return _ladder_from_terms(_Parser(src).parse_terms())
 
 
 def parse_element(src: str):
@@ -256,13 +257,14 @@ def parse_element(src: str):
     gl element, C a quotient element, t (or none) a ladder polynomial."""
     terms = _Parser(src).parse_terms()
     kinds = {kind for _, atoms, _ in terms for kind, _ in atoms}
-    for family, parse in ((("Z", "Y"), parse_lie_element), (("E",), parse_gl_element),
-                          (("C",), parse_c_element)):
+    for family, build in ((("Z", "Y"), _lie_from_terms), (("E",), _gl_from_terms),
+                          (("C",), _c_from_terms)):
         if kinds & set(family):
             if kinds - set(family):
-                raise ParseError("mixed generator families", _first_outside(terms, family))
-            return parse(src)
-    return parse_ladder_poly(src)
+                raise ParseError("mixed generator families", next(
+                    pos for _, atoms, pos in terms for kind, _ in atoms if kind not in family))
+            return build(terms)
+    return _ladder_from_terms(terms)
 
 
 def _join_terms(parts) -> str:
@@ -340,6 +342,26 @@ def parse_word_element(src: str, alphabet) -> WordLieElement:
         _Parser(src, alphabet).parse_terms(), ("Z",), "a word element"))
 
 
+def _json_terms(obj, key: str, index) -> dict:
+    """{index(term): coefficient} over the JSON term objects listed under
+    ``key`` of the JSON object ``obj`` (none when the key is absent)."""
+    items = obj.get(key, []) if isinstance(obj, dict) else None
+    if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+        raise ValueError("expected a JSON object whose %r is a list of objects" % key)
+    return {index(item): scalar_from_json(item.get("c"), "coefficient") for item in items}
+
+
+def _index(item: dict, key: str, signed: bool = False) -> int:
+    return int_from_json(item.get(key), "index %s" % key, signed)
+
+
+def _monomial(item: dict) -> tuple:
+    mono = item.get("m")
+    if not isinstance(mono, list):
+        raise ValueError("monomial %r is not a JSON list" % (mono,))
+    return tuple(int_from_json(k, "t index", signed=False) for k in mono)
+
+
 def lie_to_json(e: LieElement) -> dict:
     return {"y": scalar_to_str(e.y),
             "z": [{"n": n, "m": m, "c": scalar_to_str(e.z[(n, m)])}
@@ -347,9 +369,8 @@ def lie_to_json(e: LieElement) -> dict:
 
 
 def lie_from_json(obj) -> LieElement:
-    z = {(int(item["n"]), int(item["m"])): scalar_from_str(item["c"])
-         for item in obj.get("z", [])}
-    return LieElement(z, scalar_from_str(obj.get("y", "0")))
+    z = _json_terms(obj, "z", lambda item: (_index(item, "n"), _index(item, "m")))
+    return LieElement(z, scalar_from_json(obj.get("y", "0"), "Y coefficient"))
 
 
 def gl_to_json(g: GlElement) -> dict:
@@ -358,8 +379,7 @@ def gl_to_json(g: GlElement) -> dict:
 
 
 def gl_from_json(obj) -> GlElement:
-    return GlElement({(int(item["i"]), int(item["j"])): scalar_from_str(item["c"])
-                      for item in obj.get("e", [])})
+    return GlElement(_json_terms(obj, "e", lambda item: (_index(item, "i"), _index(item, "j"))))
 
 
 def c_to_json(x: CElement) -> dict:
@@ -367,8 +387,7 @@ def c_to_json(x: CElement) -> dict:
 
 
 def c_from_json(obj) -> CElement:
-    return CElement({int(item["d"]): scalar_from_str(item["c"])
-                     for item in obj.get("c", [])})
+    return CElement(_json_terms(obj, "c", lambda item: _index(item, "d", signed=True)))
 
 
 def ladder_to_json(p: LadderPoly) -> dict:
@@ -377,5 +396,4 @@ def ladder_to_json(p: LadderPoly) -> dict:
 
 
 def ladder_from_json(obj) -> LadderPoly:
-    return LadderPoly({tuple(item["m"]): scalar_from_str(item["c"])
-                       for item in obj.get("terms", [])})
+    return LadderPoly(_json_terms(obj, "terms", _monomial))

@@ -19,23 +19,32 @@ from fractions import Fraction
 from itertools import product
 
 from . import ladder, ladder_module
-from .linalg import (SparseElement, add_into, bilinear, commutator, numerators, over,
-                     scalar_from_json, scalar_to_str)
+from .linalg import (SparseElement, add_into, bilinear, commutator, int_from_json, numerators,
+                     over, scalar_from_json, scalar_to_str)
 
 Word = tuple  # of letter names
 
 EMPTY_WORD: Word = ()
 
 
+_NAME_RULE = "letter name %r is not a single letter or '_' other than 'e'"
+
+
 @dataclass(frozen=True)
 class Letter:
+    """A letter of an alphabet.  Its name is one letter or "_", because the
+    text form of a word runs letter names together as one name token of the
+    element grammar.  The text forms also refuse the name "e", which they
+    write for the empty word."""
+
     name: str
     degree: int
     sym: Fraction = Fraction(1)
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("letter needs a name")
+        if not (isinstance(self.name, str) and len(self.name) == 1
+                and (self.name.isalpha() or self.name == "_")):
+            raise ValueError(_NAME_RULE % (self.name,))
         if self.degree < 1:
             raise ValueError("letter degree must be >= 1")
         object.__setattr__(self, "sym", Fraction(self.sym))
@@ -60,10 +69,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.letters)
 
-    @property
-    def names(self) -> tuple:
-        return tuple(letter.name for letter in self.letters)
-
     def letter(self, name: str) -> Letter:
         return self._by_name[name]
 
@@ -75,7 +80,7 @@ class Alphabet:
 
     def words(self, aug_degree: int) -> list:
         """All words of the given augmentation degree, in letter order."""
-        return [w for w in product(self.names, repeat=aug_degree)]
+        return list(product(self._by_name, repeat=aug_degree))
 
     def word_count(self, aug_degree: int) -> int:
         return self.size ** aug_degree
@@ -93,11 +98,9 @@ class Alphabet:
 def alphabet_from_json(obj) -> Alphabet:
     """Load {"letters": [{"name", "degree", "sym"}, ...]}.
 
-    A name is one letter or "_" other than "e", because the text form of a
-    word runs letter names together as one name token of the element
-    grammar and writes the empty word as "e"; ``degree``
-    is a JSON integer and ``sym`` a JSON integer or a "p/q" string, so no
-    value is rounded.  Anything else raises ValueError.
+    A name follows the rule of ``Letter`` and is not "e"; ``degree`` is a
+    JSON integer and ``sym`` a JSON integer or a "p/q" string, so no value
+    is rounded.  Anything else raises ValueError.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("letters"), list):
         raise ValueError('an alphabet must be a JSON object with a "letters" list')
@@ -105,14 +108,12 @@ def alphabet_from_json(obj) -> Alphabet:
     for item in obj["letters"]:
         if not isinstance(item, dict):
             raise ValueError("alphabet letter %r is not a JSON object" % (item,))
-        name, degree, sym = item.get("name"), item.get("degree"), item.get("sym", "1")
-        if not (isinstance(name, str) and len(name) == 1 and name != "e"
-                and (name.isalpha() or name == "_")):
-            raise ValueError("letter name %r is not a single letter or '_' other than 'e'"
-                             % (name,))
-        if type(degree) is not int:
-            raise ValueError("letter %r: degree %r is not a JSON integer" % (name, degree))
-        letters.append(Letter(name, degree, scalar_from_json(sym, "letter %r: sym" % name)))
+        name = item.get("name")
+        if name == "e":
+            raise ValueError(_NAME_RULE % (name,))
+        degree = int_from_json(item.get("degree"), "letter %r: degree" % (name,))
+        sym = scalar_from_json(item.get("sym", "1"), "letter %r: sym" % (name,))
+        letters.append(Letter(name, degree, sym))
     return Alphabet(letters)
 
 
