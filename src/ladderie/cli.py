@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -259,7 +260,11 @@ def _cmd_verify(args) -> int:
     return _emit(args, "pass" if report.passed else "fail", payload, "\n".join(lines))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then shared: every
+    ``parse_args`` returns a fresh Namespace, so calls do not see each
+    other's options."""
     parser = argparse.ArgumentParser(
         prog="ladderie",
         description="Exact computations in the ladder insertion-elimination "
@@ -360,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

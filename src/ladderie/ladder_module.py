@@ -17,6 +17,13 @@ from .linalg import SparseElement, add_into
 Monomial = tuple  # sorted t indices, e.g. (0, 1, 1) for t[0]*t[1]^2
 
 
+def _refuse_negative(monomials) -> None:
+    """ValueError unless every (sorted) monomial has non-negative indices."""
+    for mono in monomials:
+        if mono and mono[0] < 0:
+            raise ValueError("negative ladder index in monomial %r" % (mono,))
+
+
 class LadderPoly(SparseElement):
     """Immutable polynomial: zero-free dict monomial -> Fraction."""
 
@@ -25,6 +32,9 @@ class LadderPoly(SparseElement):
     @staticmethod
     def _key(mono) -> Monomial:
         return tuple(sorted(mono))
+
+    def _check(self) -> None:
+        _refuse_negative(self.terms)
 
     @classmethod
     def one(cls) -> "LadderPoly":
@@ -44,8 +54,6 @@ class LadderPoly(SparseElement):
 
 
 def t(k: int, coeff=1) -> LadderPoly:
-    if k < 0:
-        raise ValueError("negative ladder index")
     return LadderPoly({(k,): coeff})
 
 
@@ -57,6 +65,9 @@ class TensorPoly(SparseElement):
     @staticmethod
     def _key(pair) -> tuple:
         return tuple(sorted(pair[0])), tuple(sorted(pair[1]))
+
+    def _check(self) -> None:
+        _refuse_negative(mono for pair in self.terms for mono in pair)
 
     @classmethod
     def one(cls) -> "TensorPoly":
@@ -115,10 +126,6 @@ class ActionReport:
     counterexample: str | None = None
 
 
-def _in_module(p: LadderPoly) -> bool:
-    return all(k >= 0 for mono in p.terms for k in mono)
-
-
 def verify_action_is_representation(generator_bound: int, ladder_bound=None) -> ActionReport:
     """Check that the action is a representation on the module: images of
     t[k] stay inside the span of non-negative ladder generators, and
@@ -127,7 +134,8 @@ def verify_action_is_representation(generator_bound: int, ladder_bound=None) -> 
 
     The membership half matters: an action that ignores the elimination
     guard still satisfies the bare commutator identity (everything collapses
-    to index shifts), but escapes the module through negative indices.
+    to index shifts), but escapes the module through negative indices,
+    which ``LadderPoly`` refuses with a ValueError.
     """
     if generator_bound < 1:
         raise ValueError("generator_bound must be >= 1")
@@ -143,8 +151,9 @@ def verify_action_is_representation(generator_bound: int, ladder_bound=None) -> 
             for k in range(ladder_bound + 1):
                 checked += 1
                 tk = t(k)
-                imgs = (act(y, tk), act(x, tk))
-                if not all(_in_module(img) for img in imgs):
+                try:
+                    imgs = (act(y, tk), act(x, tk))
+                except ValueError:
                     return ActionReport(False, generator_bound, ladder_bound, checked,
                                         "image leaves the module at Z[%d,%d]/Z[%d,%d] on t[%d]"
                                         % (n, m, l, s, k))

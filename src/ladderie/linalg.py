@@ -62,8 +62,11 @@ def int_from_json(value, what: str, signed: bool = True) -> int:
 
 
 def scalar_to_str(value) -> str:
-    """Render exactly as "p/q", or "p" when the denominator is 1."""
-    value = Fraction(value)
+    """Render exactly as "p/q", or "p" when the denominator is 1.  A value
+    that is not an int or a Fraction goes through ``exact_scalar``, so a
+    float raises TypeError."""
+    if type(value) is not Fraction and type(value) is not int:
+        value = exact_scalar(value)
     if value.denominator == 1:
         return str(value.numerator)
     return "%d/%d" % (value.numerator, value.denominator)

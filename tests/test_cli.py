@@ -114,6 +114,13 @@ def test_parse_error_exit_code(capsys):
     assert "negative index" in err
 
 
+@pytest.mark.parametrize("element, position", [("Z[\u00b2,0]", 2), ("Z[1,\u2460]", 4)])
+def test_digits_that_int_refuses_are_unexpected_characters(capsys, element, position):
+    code, out, err = run(capsys, "degree", element)
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character %r at position %d\n" % (element[position], position)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-verb"])

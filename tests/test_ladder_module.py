@@ -15,6 +15,18 @@ def test_act_examples():
     assert act(Z(1, 0), t(0) * t(1)) == t(1) * t(1) + t(0) * t(2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LadderPoly({(-1,): 1}),
+    lambda: LadderPoly({(2, -1): F(1, 2)}),
+    lambda: LadderPoly._from_canonical({(-3, 0): F(1)}),
+    lambda: TensorPoly({((-1,), ()): 1}),
+    lambda: TensorPoly({((0,), (4, -2)): 3}),
+    lambda: TensorPoly._from_canonical({((), (-1,)): F(1)})])
+def test_negative_ladder_indices_are_refused(build):
+    with pytest.raises(ValueError, match="negative ladder index"):
+        build()
+
+
 def test_act_kills_the_unit():
     one = LadderPoly.one()
     assert act(Z(3, 2), one).is_zero()

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,26 @@ def test_scalar_strings():
     assert scalar_from_str("3/2") == F(3, 2)
     assert scalar_from_str("-7") == F(-7)
     assert scalar_from_str(scalar_to_str(F(-355, 113))) == F(-355, 113)
+
+
+@pytest.mark.parametrize("value, text", [
+    (0, "0"), (7, "7"), (-12, "-12"), (10 ** 30, str(10 ** 30)),
+    (F(0), "0"), (F(5), "5"), (F(-6, 3), "-2"), (F(-7, 4), "-7/4"), (F(22, 7), "22/7"),
+    (True, "1"), (False, "0")])
+def test_scalar_to_str_renders_ints_fractions_and_bools(value, text):
+    assert scalar_to_str(value) == text
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, Decimal("0.5"), Decimal(3)])
+def test_scalar_to_str_refuses_inexact_values(value):
+    with pytest.raises(TypeError):
+        scalar_to_str(value)
+
+
+@settings(deadline=None)
+@given(st.fractions() | st.integers())
+def test_scalar_to_str_round_trips(value):
+    assert scalar_from_str(scalar_to_str(value)) == value
 
 
 def test_lin_combine_examples():
