@@ -20,18 +20,34 @@ from .parsing import ParseError
 
 
 def _read_expr(text: str) -> str:
-    if text == "-":
-        return sys.stdin.read()
-    return text
+    return sys.stdin.read() if text == "-" else text
 
 
 def _emit(args, status: str, payload, text: str) -> int:
-    if getattr(args, "json", False):
-        print(json.dumps({"schema": 1, "status": status, "payload": payload},
-                         sort_keys=True))
-    else:
-        print(text)
+    if args.json:
+        text = json.dumps({"schema": 1, "status": status, "payload": payload}, sort_keys=True)
+    print(text)
     return 0 if status != "fail" else 1
+
+
+# Element type -> (JSON writer, text formatter), both from ``parsing``.
+_RENDER = {
+    ladder.LieElement: (parsing.lie_to_json, parsing.format_lie_element),
+    glinf.GlElement: (parsing.gl_to_json, parsing.format_gl_element),
+    extension.CElement: (parsing.c_to_json, parsing.format_c_element),
+    ladder_module.LadderPoly: (parsing.ladder_to_json, parsing.format_ladder_poly),
+    words.WordLieElement: (parsing.word_element_to_json, parsing.format_word_element),
+}
+
+
+def _value(args, elem) -> int:
+    to_json, to_text = _RENDER[type(elem)]
+    return _emit(args, "value", to_json(elem), to_text(elem))
+
+
+def _unary(parse, op):
+    """The handler of a verb that maps one element argument to one element."""
+    return lambda args: _value(args, op(parse(_read_expr(args.element))))
 
 
 def _load_alphabet(path: str) -> words.Alphabet:
@@ -40,24 +56,20 @@ def _load_alphabet(path: str) -> words.Alphabet:
 
 
 def _word_poly_payload(poly: words.WordPoly, alphabet) -> list:
-    out = []
-    for w in sorted(poly.terms, key=lambda w: (len(w), w)):
-        out.append({"word": parsing.format_word(w),
-                    "c": scalar_to_str(poly.terms[w]),
-                    "alpha_order": alphabet.alpha_degree(w)})
-    return out
+    return [{"word": parsing.format_word(w), "c": scalar_to_str(poly.terms[w]),
+             "alpha_order": alphabet.alpha_degree(w)}
+            for w in sorted(poly.terms, key=lambda w: (len(w), w))]
+
+
+_BRACKETS = {ladder.LieElement: ladder.bracket, glinf.GlElement: glinf.bracket_ee}
 
 
 def _cmd_bracket(args) -> int:
     a = parsing.parse_element(_read_expr(args.a))
     b = parsing.parse_element(_read_expr(args.b))
-    if isinstance(a, ladder.LieElement) and isinstance(b, ladder.LieElement):
-        r = ladder.bracket(a, b)
-        return _emit(args, "value", parsing.lie_to_json(r), parsing.format_lie_element(r))
-    if isinstance(a, glinf.GlElement) and isinstance(b, glinf.GlElement):
-        r = glinf.bracket_ee(a, b)
-        return _emit(args, "value", parsing.gl_to_json(r), parsing.format_gl_element(r))
-    raise ParseError("bracket needs two Z/Y elements or two E elements", 0)
+    if type(a) is not type(b) or type(a) not in _BRACKETS:
+        raise ParseError("bracket needs two Z/Y elements or two E elements", 0)
+    return _value(args, _BRACKETS[type(a)](a, b))
 
 
 def _cmd_degree(args) -> int:
@@ -70,25 +82,18 @@ def _cmd_degree(args) -> int:
 
 def _cmd_decompose(args) -> int:
     dec = ladder.decompose_generator(args.n, args.m)
-    text = "[%s, %s]" % (parsing.format_lie_element(dec.left),
-                         parsing.format_lie_element(dec.right))
-    tail = parsing.format_lie_element(dec.tail)
-    if not dec.tail.is_zero():
-        text += " + (%s)" % tail
-    value = dec.evaluate()
-    payload = {"left": parsing.lie_to_json(dec.left),
-               "right": parsing.lie_to_json(dec.right),
-               "tail": parsing.lie_to_json(dec.tail),
-               "evaluates_to": parsing.lie_to_json(value)}
-    return _emit(args, "value", payload,
-                 "%s = %s" % (text, parsing.format_lie_element(value)))
+    parts = {"left": dec.left, "right": dec.right, "tail": dec.tail,
+             "evaluates_to": dec.evaluate()}
+    text = {key: parsing.format_lie_element(e) for key, e in parts.items()}
+    return _emit(args, "value", {key: parsing.lie_to_json(e) for key, e in parts.items()},
+                 "[%(left)s, %(right)s]" % text
+                 + ("" if dec.tail.is_zero() else " + (%(tail)s)" % text)
+                 + " = %(evaluates_to)s" % text)
 
 
 def _cmd_act(args) -> int:
     e = parsing.parse_lie_element(_read_expr(args.element))
-    p = parsing.parse_ladder_poly(_read_expr(args.poly))
-    r = ladder_module.act(e, p)
-    return _emit(args, "value", parsing.ladder_to_json(r), parsing.format_ladder_poly(r))
+    return _value(args, ladder_module.act(e, parsing.parse_ladder_poly(_read_expr(args.poly))))
 
 
 def _cmd_to_e(args) -> int:
@@ -96,27 +101,8 @@ def _cmd_to_e(args) -> int:
     g = glinf.express_in_e(e)
     if g is None:
         return _emit(args, "value", {"in_ideal": False}, "not-in-ideal")
-    payload = {"in_ideal": True}
-    payload.update(parsing.gl_to_json(g))
+    payload = {"in_ideal": True, **parsing.gl_to_json(g)}
     return _emit(args, "value", payload, parsing.format_gl_element(g))
-
-
-def _cmd_from_e(args) -> int:
-    g = parsing.parse_gl_element(_read_expr(args.element))
-    e = glinf.embed_to_z(g)
-    return _emit(args, "value", parsing.lie_to_json(e), parsing.format_lie_element(e))
-
-
-def _cmd_project(args) -> int:
-    e = parsing.parse_lie_element(_read_expr(args.element))
-    x = extension.project_to_c(e)
-    return _emit(args, "value", parsing.c_to_json(x), parsing.format_c_element(x))
-
-
-def _cmd_section(args) -> int:
-    x = parsing.parse_c_element(_read_expr(args.element))
-    e = extension.section_s(x)
-    return _emit(args, "value", parsing.lie_to_json(e), parsing.format_lie_element(e))
 
 
 def _cmd_extension_verify(args) -> int:
@@ -138,9 +124,8 @@ def _cmd_extension_obstruct(args) -> int:
     b_minus = parsing.parse_gl_element(_read_expr(args.bminus))
     r = extension.nonsplit_obstruction(b_plus, b_minus)
     payload = {"obstruction": parsing.lie_to_json(r), "nonzero": not r.is_zero()}
-    return _emit(args, "value", payload,
-                 "%s (%s)" % (parsing.format_lie_element(r),
-                              "nonzero" if not r.is_zero() else "ZERO"))
+    return _emit(args, "value", payload, "%s (%s)" % (
+        parsing.format_lie_element(r), "nonzero" if payload["nonzero"] else "ZERO"))
 
 
 def _cmd_extension_infeasible(args) -> int:
@@ -158,20 +143,11 @@ def _cmd_words_bracket(args) -> int:
     alphabet = _load_alphabet(args.alphabet)
     a = parsing.parse_word_element(_read_expr(args.a), alphabet)
     b = parsing.parse_word_element(_read_expr(args.b), alphabet)
-    r = words.bracket_words(a, b)
-    payload = [{"w1": parsing.format_word(w1), "w2": parsing.format_word(w2),
-                "c": scalar_to_str(c)}
-               for (w1, w2), c in sorted(r.terms.items())]
-    return _emit(args, "value", payload, parsing.format_word_element(r))
+    return _value(args, words.bracket_words(a, b))
 
 
 def _cmd_words_iota(args) -> int:
-    alphabet = _load_alphabet(args.alphabet)
-    r = words.iota_l(args.n, args.m, alphabet)
-    payload = [{"w1": parsing.format_word(w1), "w2": parsing.format_word(w2),
-                "c": scalar_to_str(c)}
-               for (w1, w2), c in sorted(r.terms.items())]
-    return _emit(args, "value", payload, parsing.format_word_element(r))
+    return _value(args, words.iota_l(args.n, args.m, _load_alphabet(args.alphabet)))
 
 
 def _cmd_dse_expand(args) -> int:
@@ -192,8 +168,7 @@ def _cmd_dse_expand(args) -> int:
 def _cmd_cohomology_betti(args) -> int:
     if args.structure:
         with open(args.structure, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-        algebra = _algebra_from_json(obj)
+            algebra = _algebra_from_json(json.load(handle))
     elif args.algebra == "gl":
         if args.n is None:
             raise ParseError("--n is required with --algebra gl", 0)
@@ -201,9 +176,7 @@ def _cmd_cohomology_betti(args) -> int:
     else:
         raise ParseError("unknown algebra %r" % args.algebra, 0)
     table = cohomology.betti_numbers(algebra)
-    payload = {"betti": list(table.betti),
-               "cochain_dims": list(table.cochain_dims),
-               "ranks": list(table.ranks)}
+    payload = {key: list(getattr(table, key)) for key in ("betti", "cochain_dims", "ranks")}
     return _emit(args, "value", payload, "betti = %s" % (list(table.betti),))
 
 
@@ -260,107 +233,83 @@ def _cmd_verify(args) -> int:
     return _emit(args, "pass" if report.passed else "fail", payload, "\n".join(lines))
 
 
+_BOUND = ("--bound", {"type": int, "default": 4})
+_ALPHABET = ("--alphabet", {"required": True})
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+
+# One entry per verb, in --help order: (words, handler, help, arguments...).
+# An argument is a name or a (flag, options) pair; "--json" comes after the
+# arguments unless an entry places it.
+_VERBS = [
+    (("bracket",), _cmd_bracket, "bracket of two elements", "a", "b"),
+    (("degree",), _cmd_degree, "grading degree of a Z/Y element", "element"),
+    (("decompose",), _cmd_decompose,
+     "canonical [Z[n,0], Z[0,m]] + tail form of a generator", ("n", _INT), ("m", _INT)),
+    (("act",), _cmd_act, "derivation action on a ladder polynomial", "element", "poly"),
+    (("to-e",), _cmd_to_e, "express a Z element in the E basis", "element"),
+    (("from-e",), _unary(parsing.parse_gl_element, glinf.embed_to_z),
+     "embed an E element into Z generators", "element"),
+    (("project",), _unary(parsing.parse_lie_element, extension.project_to_c),
+     "project onto the abelian quotient", "element"),
+    (("section",), _unary(parsing.parse_c_element, extension.section_s),
+     "section of the quotient projection", "element"),
+    (("extension", "verify"), _cmd_extension_verify,
+     "cocycle conditions on a finite window", _BOUND),
+    (("extension", "obstruct"), _cmd_extension_obstruct,
+     "splitting obstruction for graded corrections",
+     ("--bplus", {"required": True}), ("--bminus", {"required": True})),
+    (("extension", "infeasible"), _cmd_extension_infeasible,
+     "certificate that no splitting exists", ("--L", _REQUIRED_INT)),
+    (("words", "bracket"), _cmd_words_bracket,
+     "bracket of word generator combinations", _ALPHABET, "a", "b"),
+    (("words", "iota"), _cmd_words_iota, "word image of a ladder generator",
+     _ALPHABET, ("--n", _REQUIRED_INT), ("--m", _REQUIRED_INT)),
+    (("dse", "expand"), _cmd_dse_expand, "truncated word expansion with both gradings",
+     _ALPHABET, ("--order", _REQUIRED_INT)),
+    (("cohomology", "betti"), _cmd_cohomology_betti, "Betti numbers of a finite algebra",
+     ("--algebra", {"default": "gl"}), ("--n", _INT),
+     ("--structure", {"help": "JSON structure constants file"})),
+    (("cohomology", "h1"), _cmd_cohomology_h1, "degree-functional first cohomology",
+     _BOUND, ("--with-y", {"action": "store_true"})),
+    (("verify",), _cmd_verify, "run the full verification suite", "--json", _BOUND),
+]
+
+_GROUPS = {"extension": "extension structure checks",
+           "words": "word algebra operations",
+           "dse": "linear Dyson-Schwinger expansions",
+           "cohomology": "Chevalley-Eilenberg computations"}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and then shared: every
-    ``parse_args`` returns a fresh Namespace, so calls do not see each
-    other's options."""
+    """The command line parser, built from ``_VERBS`` on first use and then
+    shared: every ``parse_args`` returns a fresh Namespace, so calls do not
+    see each other's options."""
     parser = argparse.ArgumentParser(
         prog="ladderie",
         description="Exact computations in the ladder insertion-elimination "
                     "Lie algebra and its friends.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--json", action="store_true", help="machine output")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    groups = {}
+    for path, fn, help_text, *arguments in _VERBS:
+        sub = verbs
+        if len(path) == 2:
+            if path[0] not in groups:
+                group = verbs.add_parser(path[0], help=_GROUPS[path[0]])
+                groups[path[0]] = group.add_subparsers(dest="subverb", required=True)
+            sub = groups[path[0]]
+        p = sub.add_parser(path[-1], help=help_text)
+        if "--json" not in arguments:
+            arguments.append("--json")
+        for arg in arguments:
+            if arg == "--json":
+                p.add_argument(arg, action="store_true",
+                               **({"help": "machine output"} if sub is verbs else {}))
+            else:
+                flag, options = (arg, {}) if isinstance(arg, str) else arg
+                p.add_argument(flag, **options)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("bracket", _cmd_bracket, help="bracket of two elements")
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = add("degree", _cmd_degree, help="grading degree of a Z/Y element")
-    p.add_argument("element")
-
-    p = add("decompose", _cmd_decompose,
-            help="canonical [Z[n,0], Z[0,m]] + tail form of a generator")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-
-    p = add("act", _cmd_act, help="derivation action on a ladder polynomial")
-    p.add_argument("element")
-    p.add_argument("poly")
-
-    p = add("to-e", _cmd_to_e, help="express a Z element in the E basis")
-    p.add_argument("element")
-
-    p = add("from-e", _cmd_from_e, help="embed an E element into Z generators")
-    p.add_argument("element")
-
-    p = add("project", _cmd_project, help="project onto the abelian quotient")
-    p.add_argument("element")
-
-    p = add("section", _cmd_section, help="section of the quotient projection")
-    p.add_argument("element")
-
-    pe = sub.add_parser("extension", help="extension structure checks")
-    esub = pe.add_subparsers(dest="subverb", required=True)
-    p = esub.add_parser("verify", help="cocycle conditions on a finite window")
-    p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_extension_verify)
-    p = esub.add_parser("obstruct", help="splitting obstruction for graded corrections")
-    p.add_argument("--bplus", required=True)
-    p.add_argument("--bminus", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_extension_obstruct)
-    p = esub.add_parser("infeasible", help="certificate that no splitting exists")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_extension_infeasible)
-
-    pw = sub.add_parser("words", help="word algebra operations")
-    wsub = pw.add_subparsers(dest="subverb", required=True)
-    p = wsub.add_parser("bracket", help="bracket of word generator combinations")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_words_bracket)
-    p = wsub.add_parser("iota", help="word image of a ladder generator")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_words_iota)
-
-    pd = sub.add_parser("dse", help="linear Dyson-Schwinger expansions")
-    dsub = pd.add_subparsers(dest="subverb", required=True)
-    p = dsub.add_parser("expand", help="truncated word expansion with both gradings")
-    p.add_argument("--alphabet", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_dse_expand)
-
-    pc = sub.add_parser("cohomology", help="Chevalley-Eilenberg computations")
-    csub = pc.add_subparsers(dest="subverb", required=True)
-    p = csub.add_parser("betti", help="Betti numbers of a finite algebra")
-    p.add_argument("--algebra", default="gl")
-    p.add_argument("--n", type=int)
-    p.add_argument("--structure", help="JSON structure constants file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_cohomology_betti)
-    p = csub.add_parser("h1", help="degree-functional first cohomology")
-    p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--with-y", dest="with_y", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_cohomology_h1)
-
-    p = add("verify", _cmd_verify, help="run the full verification suite")
-    p.add_argument("--bound", type=int, default=4)
-
     return parser
 
 
@@ -368,10 +317,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

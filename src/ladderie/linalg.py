@@ -268,16 +268,6 @@ class ExactMatrix:
         return cls(rows, cols, ent)
 
     @classmethod
-    def from_row_dicts(cls, row_dicts: Sequence[Mapping], cols: int) -> "ExactMatrix":
-        ent = {}
-        for r, row in enumerate(row_dicts):
-            for c, v in row.items():
-                v = exact_scalar(v)
-                if v:
-                    ent[(r, c)] = v
-        return cls(len(row_dicts), cols, ent)
-
-    @classmethod
     def _from_canonical(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
         """Wrap ``entries`` without copying; the caller guarantees the
         contract (in range, nonzero ``Fraction`` values)."""

@@ -169,9 +169,6 @@ class _Parser:
         _, text, pos = self.take("NAME")
         if text == "e":
             return ()
-        if "e" in self.alphabet:
-            raise ParseError("alphabet has names unusable in text form "
-                             "(need single characters other than 'e')", pos)
         for ch in text:
             if ch not in self.alphabet:
                 raise ParseError("unknown letter %r" % ch, pos)
@@ -397,3 +394,8 @@ def ladder_to_json(p: LadderPoly) -> dict:
 
 def ladder_from_json(obj) -> LadderPoly:
     return LadderPoly(_json_terms(obj, "terms", _monomial))
+
+
+def word_element_to_json(wle: WordLieElement) -> list:
+    return [{"w1": format_word(w1), "w2": format_word(w2), "c": scalar_to_str(c)}
+            for (w1, w2), c in sorted(wle.terms.items())]

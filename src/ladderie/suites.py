@@ -43,9 +43,14 @@ def _fail(name, detail, counterexample):
 def _verdict(name, passed_detail, failures):
     """The check's result: a failure for the first (detail, counterexample)
     that the lazy iterable ``failures`` yields, which stops the check there,
-    or a pass with ``passed_detail`` when it yields nothing."""
-    for detail, counterexample in failures:
-        return _fail(name, detail, counterexample)
+    or a pass with ``passed_detail`` when it yields nothing.  A ValueError
+    raised while a case is computed (an element leaving its space, say) is a
+    failure too, with its message as the counterexample."""
+    try:
+        for detail, counterexample in failures:
+            return _fail(name, detail, counterexample)
+    except ValueError as exc:
+        return _fail(name, "raised ValueError", str(exc))
     return _ok(name, passed_detail)
 
 

@@ -34,8 +34,8 @@ _NAME_RULE = "letter name %r is not a single letter or '_' other than 'e'"
 class Letter:
     """A letter of an alphabet.  Its name is one letter or "_", because the
     text form of a word runs letter names together as one name token of the
-    element grammar.  The text forms also refuse the name "e", which they
-    write for the empty word."""
+    element grammar, and not "e", which the text forms write for the empty
+    word."""
 
     name: str
     degree: int
@@ -43,7 +43,7 @@ class Letter:
 
     def __post_init__(self):
         if not (isinstance(self.name, str) and len(self.name) == 1
-                and (self.name.isalpha() or self.name == "_")):
+                and (self.name.isalpha() or self.name == "_") and self.name != "e"):
             raise ValueError(_NAME_RULE % (self.name,))
         if self.degree < 1:
             raise ValueError("letter degree must be >= 1")
@@ -98,9 +98,9 @@ class Alphabet:
 def alphabet_from_json(obj) -> Alphabet:
     """Load {"letters": [{"name", "degree", "sym"}, ...]}.
 
-    A name follows the rule of ``Letter`` and is not "e"; ``degree`` is a
-    JSON integer and ``sym`` a JSON integer or a "p/q" string, so no value
-    is rounded.  Anything else raises ValueError.
+    A name follows the rule of ``Letter``; ``degree`` is a JSON integer and
+    ``sym`` a JSON integer or a "p/q" string, so no value is rounded.
+    Anything else raises ValueError.
     """
     if not isinstance(obj, dict) or not isinstance(obj.get("letters"), list):
         raise ValueError('an alphabet must be a JSON object with a "letters" list')
@@ -109,8 +109,6 @@ def alphabet_from_json(obj) -> Alphabet:
         if not isinstance(item, dict):
             raise ValueError("alphabet letter %r is not a JSON object" % (item,))
         name = item.get("name")
-        if name == "e":
-            raise ValueError(_NAME_RULE % (name,))
         degree = int_from_json(item.get("degree"), "letter %r: degree" % (name,))
         sym = scalar_from_json(item.get("sym", "1"), "letter %r: sym" % (name,))
         letters.append(Letter(name, degree, sym))

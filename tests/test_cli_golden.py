@@ -112,6 +112,12 @@ def test_output_matches_the_golden_data(golden, name):
     assert _run(CASES[name]) == golden[name]
 
 
+def test_every_verb_and_group_has_a_help_case():
+    paths = {tuple(entry[0]) for entry in cli._VERBS}
+    groups = {path[:1] for path in paths if len(path) > 1}
+    assert paths | groups <= {tuple(argv) for argv in _VERBS}
+
+
 def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

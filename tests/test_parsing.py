@@ -147,9 +147,8 @@ def test_word_element_roundtrip():
     assert parse_word_element("Z[ab,e]", ab) == Zw(("a", "b"), ())
     with pytest.raises(ParseError):
         parse_word_element("Z[ac,e]", ab)
-    bad_names = Alphabet([Letter("e", 1)])
-    with pytest.raises(ParseError):
-        parse_word_element("Z[x,e]", bad_names)
+    with pytest.raises(ValueError):
+        Letter("e", 1)
 
 
 def test_zero_formats():

@@ -23,3 +23,15 @@ def test_suite_refuses_a_jacobi_window_over_the_limit():
     assert (15 + 1) ** 6 <= suites.MAX_JACOBI_TRIPLES < (16 + 1) ** 6
     with pytest.raises(ValueError, match="24137569 generator triples"):
         run_verify_suite(16)
+
+
+def test_a_raised_value_error_fails_its_check(monkeypatch, capsys):
+    from ladderie import cli, ladder_module
+
+    monkeypatch.setattr(ladder_module, "act_generator", lambda n, m, k: k - m + n)
+    report = run_verify_suite(2)
+    failed = {r.name for r in report.results if not r.passed}
+    assert {"module.leibniz", "words.iota_action", "module.representation"} <= failed
+    assert cli.main(["verify", "--bound", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL module.leibniz" in out and err == ""
