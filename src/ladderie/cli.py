@@ -107,16 +107,12 @@ def _cmd_to_e(args) -> int:
 
 def _cmd_extension_verify(args) -> int:
     report = extension.verify_cocycle_conditions(args.bound)
-    payload = {"bound": report.bound, "passed": report.passed,
-               "pairs_checked": report.pairs_checked,
-               "triples_checked": report.triples_checked,
-               "counterexample": report.counterexample}
     status = "pass" if report.passed else "fail"
     text = ("cocycle conditions pass at bound %d (%d pair, %d triple checks)"
             % (report.bound, report.pairs_checked, report.triples_checked)
             if report.passed else
             "cocycle conditions FAIL: %s" % report.counterexample)
-    return _emit(args, status, payload, text)
+    return _emit(args, status, dataclasses.asdict(report), text)
 
 
 def _cmd_extension_obstruct(args) -> int:
@@ -172,12 +168,12 @@ def _cmd_cohomology_betti(args) -> int:
     elif args.algebra == "gl":
         if args.n is None:
             raise ParseError("--n is required with --algebra gl", 0)
+        cohomology.check_cochain_limit(max(args.n, 0) ** 2)
         algebra = cohomology.truncate_gl(args.n)
     else:
         raise ParseError("unknown algebra %r" % args.algebra, 0)
     table = cohomology.betti_numbers(algebra)
-    payload = {key: list(getattr(table, key)) for key in ("betti", "cochain_dims", "ranks")}
-    return _emit(args, "value", payload, "betti = %s" % (list(table.betti),))
+    return _emit(args, "value", dataclasses.asdict(table), "betti = %s" % (list(table.betti),))
 
 
 def _algebra_from_json(obj) -> cohomology.FiniteLieAlgebra:
@@ -193,6 +189,7 @@ def _algebra_from_json(obj) -> cohomology.FiniteLieAlgebra:
             and isinstance(obj.get("brackets"), list)):
         raise ValueError('a structure must be a JSON object with "labels" and '
                          '"brackets" lists')
+    cohomology.check_cochain_limit(len(obj["labels"]))
     structure = {}
     for item in obj["brackets"]:
         if not (isinstance(item, dict) and isinstance(item.get("terms"), list)):

@@ -35,7 +35,7 @@ class FiniteLieAlgebra:
     rejects structures violating the Jacobi identity.
     """
 
-    def __init__(self, basis_labels, structure, check=True):
+    def __init__(self, basis_labels, structure):
         self.basis_labels = tuple(basis_labels)
         self.dim = len(self.basis_labels)
         table = {}
@@ -49,10 +49,9 @@ class FiniteLieAlgebra:
             if vec:
                 table[(i, j)] = vec
         self.structure = table
-        if check:
-            bad = self._jacobi_failure()
-            if bad is not None:
-                raise ValueError("Jacobi identity fails on basis triple %s" % (bad,))
+        bad = self._jacobi_failure()
+        if bad is not None:
+            raise ValueError("Jacobi identity fails on basis triple %s" % (bad,))
 
     def bracket_basis(self, i: int, j: int) -> dict:
         if i == j:
@@ -143,12 +142,17 @@ class BettiTable:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
+def check_cochain_limit(dim: int) -> None:
+    """ValueError if a ``dim``-dimensional algebra has over MAX_COCHAINS cochains."""
+    if 2 ** dim > MAX_COCHAINS:
+        raise ValueError("the complex of a %d-dimensional algebra has 2^%d = %d cochains, "
+                         "more than the limit of %d" % (dim, dim, 2 ** dim, MAX_COCHAINS))
+
+
 def betti_numbers(algebra: FiniteLieAlgebra) -> BettiTable:
     """Exact Betti numbers b_0..b_dim of the trivial-coefficient complex."""
     n = algebra.dim
-    if 2 ** n > MAX_COCHAINS:
-        raise ValueError("the complex of a %d-dimensional algebra has 2^%d = %d cochains, "
-                         "more than the limit of %d" % (n, n, 2 ** n, MAX_COCHAINS))
+    check_cochain_limit(n)
     dims = tuple(comb(n, k) for k in range(n + 1))
     ranks = tuple(rank(ce_differential(algebra, k)) for k in range(n + 1))
     betti = tuple(dims[k] - ranks[k] - (ranks[k - 1] if k else 0)

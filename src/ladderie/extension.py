@@ -16,8 +16,9 @@ from itertools import product
 
 from . import ladder
 from .glinf import E, GlElement, bracket_ee, embed_to_z
-from .ladder import LieElement, theta
-from .linalg import ExactMatrix, Infeasible, SparseElement, add_into, solve_or_refute
+from .ladder import LieElement
+from .linalg import (ExactMatrix, Infeasible, SparseElement, add_into, commutator,
+                     numerators, solve_or_refute)
 
 _ZERO = Fraction(0)
 
@@ -57,20 +58,11 @@ def section_s(x: CElement) -> LieElement:
 
 
 def alpha_on_generator(d: int, i: int, j: int) -> dict:
-    """Action of the degree-d quotient generator on E[i,j]; equals the E
-    form of [s(Z_d), E[i,j]]."""
-    if d == 0:
-        return {}
-    if d > 0:
-        out = {(i + d, j): 1}
-        if theta(j - d):
-            out[(i, j - d)] = -1
-        return out
-    m = -d
-    out = {(i, j + m): -1}
-    if theta(i - m):
-        out[(i - m, j)] = 1
-    return out
+    """Action of the degree-d quotient generator on E[i,j]: the commutator
+    of s(C[d]) = Z[n,m] with E[i,j], where Z[n,m] E[i,j] = E[i-m+n, j] if
+    i >= m and E[i,j] Z[n,m] = E[i, j-n+m] if j >= n, else zero."""
+    n, m = max(d, 0), max(-d, 0)
+    return commutator((i - m + n, j) if i >= m else None, (i, j - n + m) if j >= n else None)
 
 
 def alpha(x: CElement, g: GlElement) -> GlElement:
@@ -210,44 +202,27 @@ def obstruction_grid(max_index: int, coefficients=(-2, -1, 0, 1, 2)) -> Obstruct
     E indices <= max_index and coefficients drawn from ``coefficients``.
 
     The commutator is expanded bilinearly over the section and correction
-    basis vectors, whose pairwise brackets are computed once up front with
-    the full bracket; per case only an exact linear combination remains.
+    basis vectors; their pairwise brackets are computed once with the full
+    bracket and summed into one row per correction a, which each case b sums.
     """
     ups = [section_s(Cgen(1))] + [embed_to_z(E(h + 1, h)) for h in range(max_index + 1)]
     downs = [section_s(Cgen(-1))] + [embed_to_z(E(k, k + 1)) for k in range(max_index + 1)]
-    table = [[ladder.bracket(u, v).z for v in downs] for u in ups]
-    coords = sorted({idx for row in table for cell in row for idx in cell})
-    pos = {idx: t for t, idx in enumerate(coords)}
-    nc = len(coords)
-    vec_table = []
-    for row in table:
-        vec_row = []
-        for cell in row:
-            vec = [0] * nc
-            for idx, c in cell.items():
-                if c.denominator != 1:
-                    raise ArithmeticError("non-integer basis bracket")
-                vec[pos[idx]] = c.numerator
-            vec_row.append(vec)
-        vec_table.append(vec_row)
+    table = [[numerators(ladder.bracket(u, v).z) for v in downs] for u in ups]
+    if any(den != 1 for row in table for _, den in row):
+        raise ArithmeticError("non-integer basis bracket")
     width = max_index + 1
     cases = 0
     for a in product(coefficients, repeat=width):
-        ups_coeffs = (1,) + a
-        rows_for_a = [(cu, vec_table[u]) for u, cu in enumerate(ups_coeffs) if cu]
+        row = [{} for _ in downs]
+        for cu, cells in zip((1,) + a, table):
+            for acc, (cell, _) in zip(row, cells):
+                add_into(acc, cell, cu)
         for b in product(coefficients, repeat=width):
             cases += 1
-            acc = [0] * nc
-            for v, cv in enumerate((1,) + b):
-                if not cv:
-                    continue
-                for cu, vrow in rows_for_a:
-                    w = cu * cv
-                    cell = vrow[v]
-                    for t in range(nc):
-                        if cell[t]:
-                            acc[t] += w * cell[t]
-            if not any(acc):
+            acc: dict = {}
+            for cv, cell in zip((1,) + b, row):
+                add_into(acc, cell, cv)
+            if not acc:
                 return ObstructionGridReport(max_index, tuple(coefficients),
                                              cases, False, (a, b))
     return ObstructionGridReport(max_index, tuple(coefficients), cases, True)

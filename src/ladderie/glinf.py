@@ -1,18 +1,18 @@
 """The ideal gl_+(infinity) inside the ladder algebra, in the E basis.
 
-E[i,j] abbreviates Z[i,j] - Z[i+1,j+1]; on these the bracket is the matrix
-unit rule [E[i,j], E[r,k]] = d(j,r) E[i,k] - d(k,i) E[r,j].  Within each
-degree class d the differences of Z generators telescope into finite E
-combinations; ``express_in_e`` inverts the embedding where possible and
-reports non-membership otherwise.
+E[i,j] abbreviates Z[i,j] - Z[i+1,j+1], a matrix unit: E[i,j] E[r,k] is
+E[i,k] if j = r and zero otherwise, and the bracket is their commutator.
+Within each degree class d the differences of Z generators telescope into
+finite E combinations; ``express_in_e`` inverts the embedding where possible
+and reports non-membership otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .ladder import LieElement, delta
-from .linalg import SparseElement, add_into, bilinear
+from .ladder import LieElement
+from .linalg import SparseElement, add_into, bilinear, commutator
 
 EIndex = tuple  # (i, j), both non-negative
 
@@ -42,7 +42,7 @@ def E(i: int, j: int, coeff=1) -> GlElement:
 
 def generator_bracket_ee(i: int, j: int, r: int, k: int) -> dict:
     """[E[i,j], E[r,k]] as a sparse integer combination."""
-    return add_into({}, (((i, k), delta(j, r)), ((r, j), -delta(k, i))))
+    return commutator((i, k) if j == r else None, (r, j) if k == i else None)
 
 
 def bracket_ee(a: GlElement, b: GlElement) -> GlElement:

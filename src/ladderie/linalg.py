@@ -18,6 +18,7 @@ that ``rank`` is tested against.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -28,16 +29,20 @@ Scalar = Fraction
 
 _ZERO = Fraction(0)
 
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 def scalar_from_str(text: str) -> Fraction:
-    """Parse a rational literal "p/q" or "p" (integer parts only)."""
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if not int(den):
-            raise ValueError("zero denominator in %r" % (text,))
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    """Parse a rational literal in the form ``scalar_to_str`` writes: an
+    optional "-", decimal digits, and optionally "/" and the decimal digits
+    of a nonzero denominator.  Anything else raises ValueError."""
+    match = _SCALAR.fullmatch(text)
+    if match is None:
+        raise ValueError('%r is not a rational literal "p" or "p/q"' % (text,))
+    num, den = match.groups()
+    if den is not None and not int(den):
+        raise ValueError("zero denominator in %r" % (text,))
+    return Fraction(int(num), int(den or 1))
 
 
 def scalar_from_json(value, what: str) -> Fraction:

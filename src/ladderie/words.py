@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import ladder, ladder_module
-from .linalg import (SparseElement, add_into, bilinear, commutator, int_from_json, numerators,
-                     over, scalar_from_json, scalar_to_str)
+from .linalg import (SparseElement, add_into, bilinear, commutator, exact_scalar, int_from_json,
+                     numerators, over, scalar_from_json, scalar_to_str)
 
 Word = tuple  # of letter names
 
@@ -45,9 +45,11 @@ class Letter:
         if not (isinstance(self.name, str) and len(self.name) == 1
                 and (self.name.isalpha() or self.name == "_") and self.name != "e"):
             raise ValueError(_NAME_RULE % (self.name,))
+        if type(self.degree) is not int:
+            raise ValueError("letter degree %r is not an int" % (self.degree,))
         if self.degree < 1:
             raise ValueError("letter degree must be >= 1")
-        object.__setattr__(self, "sym", Fraction(self.sym))
+        object.__setattr__(self, "sym", exact_scalar(self.sym))
         if self.sym <= 0:
             raise ValueError("symmetry factor must be positive")
 

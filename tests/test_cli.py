@@ -203,6 +203,30 @@ def test_betti_refuses_oversized_complex(capsys):
     assert err.count("\n") == 1 and "33554432 cochains" in err
 
 
+def test_betti_refuses_an_oversized_gl_before_building_it(capsys, monkeypatch):
+    """Before, --n 40 first built gl(40) and checked its Jacobi identity."""
+    from ladderie import cohomology
+
+    def no_build(n):
+        raise AssertionError("truncate_gl(%d) was called" % n)
+
+    monkeypatch.setattr(cohomology, "truncate_gl", no_build)
+    code, out, err = run(capsys, "cohomology", "betti", "--n", "40")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "1600-dimensional algebra" in err
+    assert "more than the limit of 1048576" in err
+
+
+def test_betti_refuses_a_structure_file_with_too_many_labels(capsys, tmp_path, monkeypatch):
+    from ladderie import cohomology
+
+    monkeypatch.setattr(cohomology, "FiniteLieAlgebra", None)
+    code, out, err = _betti_of_structure(capsys, tmp_path, {
+        "labels": ["x%d" % i for i in range(21)], "brackets": []})
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "2^21 = 2097152 cochains" in err
+
+
 @pytest.mark.parametrize("content", ["[1, 2]", "\"ab\"", "{}", "{\"letters\": 3}",
                                      "{\"letters\": [1]}"])
 def test_malformed_alphabet_is_usage_error(capsys, tmp_path, content):

@@ -1,6 +1,8 @@
-"""One parse per element, the letter-name rule on every alphabet, and the
+"""One parse per element, the letter-name rule on every alphabet, exact
+letter degrees and symmetry weights, the one rational literal form, and the
 JSON element loaders' refusal of anything but exact integer indices."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderie import parsing
+from ladderie.cli import main
 from ladderie.extension import CElement, Cgen
 from ladderie.glinf import GlElement
 from ladderie.ladder import LieElement, Z
 from ladderie.ladder_module import LadderPoly
+from ladderie.linalg import scalar_from_str
 from ladderie.parsing import (c_from_json, gl_from_json, ladder_from_json,
                               lie_from_json, parse_element)
 from ladderie.words import Alphabet, Letter, alphabet_from_json
@@ -101,3 +105,34 @@ def test_json_integer_coefficients_and_signed_c_degrees_load():
     assert lie_from_json({"z": [{"n": 1, "m": 0, "c": 1}]}) == Z(1, 0)
     assert c_from_json({"c": [{"d": -2, "c": "1/2"}]}) == Cgen(-2, F(1, 2))
     assert ladder_from_json({"terms": [{"m": [], "c": -3}]}) == LadderPoly({(): -3})
+
+
+@pytest.mark.parametrize("sym", [0.1, 0.5, 2.0])
+def test_a_float_symmetry_weight_is_refused(sym):
+    """Before, Letter("a", 1, 0.1).sym was 3602879701896397/36028797018963968."""
+    with pytest.raises(TypeError, match="is not exact"):
+        Letter("a", 1, sym)
+
+
+@pytest.mark.parametrize("degree", [1.5, 1.0, True, "1", F(1)])
+def test_a_letter_degree_must_be_an_int(degree):
+    """Before, Letter("a", 1.5) was accepted and dse_expand then failed with a
+    TypeError on a list index."""
+    with pytest.raises(ValueError, match="is not an int"):
+        Letter("a", degree)
+
+
+@pytest.mark.parametrize("text", ["1_0", "-1/-2", "3/+4", "1 /2", " +7 ", "+7", "7 ", "",
+                                  "-", "1/", "/2", "1.5", "1e3", "0x10", "\u0661", "1/2/3"])
+def test_scalar_literals_outside_the_written_form_are_refused(text):
+    with pytest.raises(ValueError):
+        scalar_from_str(text)
+
+
+def test_a_nonstandard_sym_literal_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps({"letters": [{"name": "a", "degree": 1, "sym": "1_0"}]}))
+    code = main(["dse", "expand", "--alphabet", str(path), "--order", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "1_0" in err

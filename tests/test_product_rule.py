@@ -1,8 +1,10 @@
 """Generator brackets as commutators of one-term generator products.
 
-The six-term bracket formulas are kept here as references; the products are
-checked for associativity, the one-term tail and section against their old
-step-function sums, and mutated products against the verify suite."""
+The six-term bracket formulas, the Kronecker-delta matrix unit bracket, the
+step-function case split of alpha and the dense-vector obstruction grid are
+kept here as references; the products are checked for associativity, the
+one-term tail and section against their old step-function sums, and mutated
+products against the verify suite."""
 
 from fractions import Fraction
 from itertools import product
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderie import extension, ladder, suites, words
+from ladderie import extension, glinf, ladder, suites, words
 from ladderie.linalg import add_into, bilinear, commutator
 from ladderie.parsing import format_word_element, parse_word_element
 
@@ -49,6 +51,66 @@ def six_term_words(w1, w2, w3, w4):
     return add_into({}, terms)
 
 
+def delta_matrix_unit_bracket(i, j, r, k):
+    return add_into({}, (((i, k), delta(j, r)), ((r, j), -delta(k, i))))
+
+
+def theta_alpha_on_generator(d, i, j):
+    if d == 0:
+        return {}
+    if d > 0:
+        out = {(i + d, j): 1}
+        if theta(j - d):
+            out[(i, j - d)] = -1
+        return out
+    m = -d
+    out = {(i, j + m): -1}
+    if theta(i - m):
+        out[(i - m, j)] = 1
+    return out
+
+
+def dense_obstruction_grid(max_index, coefficients=(-2, -1, 0, 1, 2)):
+    """The obstruction grid on dense coordinate vectors."""
+    section, embed, E = extension.section_s, glinf.embed_to_z, glinf.E
+    ups = [section(extension.Cgen(1))] + [embed(E(h + 1, h)) for h in range(max_index + 1)]
+    downs = [section(extension.Cgen(-1))] + [embed(E(k, k + 1)) for k in range(max_index + 1)]
+    table = [[ladder.bracket(u, v).z for v in downs] for u in ups]
+    coords = sorted({idx for row in table for cell in row for idx in cell})
+    pos = {idx: t for t, idx in enumerate(coords)}
+    nc = len(coords)
+    vec_table = []
+    for row in table:
+        vec_row = []
+        for cell in row:
+            vec = [0] * nc
+            for idx, c in cell.items():
+                assert c.denominator == 1
+                vec[pos[idx]] = c.numerator
+            vec_row.append(vec)
+        vec_table.append(vec_row)
+    width = max_index + 1
+    cases = 0
+    for a in product(coefficients, repeat=width):
+        rows_for_a = [(cu, vec_table[u]) for u, cu in enumerate((1,) + a) if cu]
+        for b in product(coefficients, repeat=width):
+            cases += 1
+            acc = [0] * nc
+            for v, cv in enumerate((1,) + b):
+                if not cv:
+                    continue
+                for cu, vrow in rows_for_a:
+                    w = cu * cv
+                    cell = vrow[v]
+                    for t in range(nc):
+                        if cell[t]:
+                            acc[t] += w * cell[t]
+            if not any(acc):
+                return extension.ObstructionGridReport(max_index, tuple(coefficients),
+                                                       cases, False, (a, b))
+    return extension.ObstructionGridReport(max_index, tuple(coefficients), cases, True)
+
+
 def _words(max_len, letters="ab"):
     return [w for k in range(max_len + 1) for w in product(letters, repeat=k)]
 
@@ -82,6 +144,47 @@ def test_word_commutator_equals_the_six_term_formula():
     assert len(ws) ** 4 == 50625
     for quad in product(ws, repeat=4):
         assert words.generator_bracket_words(*quad) == six_term_words(*quad), quad
+
+
+def test_matrix_unit_commutator_equals_the_delta_formula():
+    for quad in product(range(10), repeat=4):
+        assert glinf.generator_bracket_ee(*quad) == delta_matrix_unit_bracket(*quad), quad
+
+
+def test_alpha_commutator_equals_the_step_function_case_split():
+    for d in range(-10, 11):
+        for i, j in product(range(10), repeat=2):
+            assert extension.alpha_on_generator(d, i, j) == theta_alpha_on_generator(d, i, j)
+
+
+@pytest.mark.parametrize("coefficients", [(-2, -1, 0, 1, 2), (-1, 0, 1)])
+@pytest.mark.parametrize("max_index", [0, 1, 2])
+def test_sparse_obstruction_grid_equals_the_dense_grid(max_index, coefficients):
+    assert (extension.obstruction_grid(max_index, coefficients)
+            == dense_obstruction_grid(max_index, coefficients))
+
+
+def test_obstruction_grid_refuses_a_non_integer_basis_bracket(monkeypatch):
+    monkeypatch.setattr(ladder, "bracket", lambda u, v: ladder.LieElement({(0, 0): Fraction(1, 2)}))
+    with pytest.raises(ArithmeticError, match="non-integer basis bracket"):
+        extension.obstruction_grid(0)
+
+
+def _ladder_drop_first(n, m, l, s):
+    out = six_term_ladder(n, m, l, s)
+    return add_into(out, {(l - m + n, s): -1}) if theta(l - m) else out
+
+
+@pytest.mark.parametrize("coefficients", [(-2, -1, 0, 1, 2), (-1, 0, 1)])
+@pytest.mark.parametrize("max_index", [1, 2])
+def test_sparse_obstruction_grid_stops_at_the_dense_grids_zero_case(monkeypatch, max_index,
+                                                                    coefficients):
+    """Without the first term of the ladder bracket some corrections split,
+    and both grids must report the same first one."""
+    monkeypatch.setattr(ladder, "generator_bracket", _ladder_drop_first)
+    report = extension.obstruction_grid(max_index, coefficients)
+    assert not report.all_nonzero
+    assert report == dense_obstruction_grid(max_index, coefficients)
 
 
 def test_ladder_product_is_one_generator_and_associative():
