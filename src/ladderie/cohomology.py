@@ -26,6 +26,10 @@ from .linalg import ExactMatrix, add_into, canonical, kernel_rows, rank, _rref
 # betti_numbers refuses complexes with more cochains than this (dim > 20).
 MAX_COCHAINS = 2 ** 20
 
+#: Most generator pairs ``h1_degree_functional`` may constrain, (bound + 1)**4;
+#: the default admits bounds up to 31.
+MAX_H1_PAIRS = 2 ** 20
+
 
 class FiniteLieAlgebra:
     """Structure constants over basis indices 0..dim-1.
@@ -143,10 +147,13 @@ class BettiTable:
 
 
 def check_cochain_limit(dim: int) -> None:
-    """ValueError if a ``dim``-dimensional algebra has over MAX_COCHAINS cochains."""
-    if 2 ** dim > MAX_COCHAINS:
-        raise ValueError("the complex of a %d-dimensional algebra has 2^%d = %d cochains, "
-                         "more than the limit of %d" % (dim, dim, 2 ** dim, MAX_COCHAINS))
+    """ValueError if a ``dim``-dimensional algebra has over MAX_COCHAINS cochains.
+    2^dim is compared by its exponent, so a huge dim costs nothing, and is
+    written out in the message only up to dim 64, so the message stays short."""
+    if dim > MAX_COCHAINS.bit_length() - 1:
+        count = "2^%d = %d" % (dim, 2 ** dim) if dim <= 64 else "2^%d" % dim
+        raise ValueError("the complex of a %d-dimensional algebra has %s cochains, "
+                         "more than the limit of %d" % (dim, count, MAX_COCHAINS))
 
 
 def betti_numbers(algebra: FiniteLieAlgebra) -> BettiTable:
@@ -202,6 +209,9 @@ def h1_degree_functional(bound: int, with_y: bool = False) -> H1Report:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if (bound + 1) ** 4 > MAX_H1_PAIRS:
+        raise ValueError("bound %d needs %d generator pairs, more than the limit of %d"
+                         % (bound, (bound + 1) ** 4, MAX_H1_PAIRS))
     window = list(range(-bound, bound + 1))
     col_of = {d: i for i, d in enumerate(window)}
     extra: dict = {}

@@ -22,6 +22,15 @@ from .linalg import (ExactMatrix, Infeasible, SparseElement, add_into, commutato
 
 _ZERO = Fraction(0)
 
+#: Most (x, y, xi) derivation conditions ``verify_cocycle_conditions`` may
+#: check, (2 * bound + 1)**2 * (bound + 1)**2; the default admits bounds up
+#: to 15, the largest that ``verify`` accepts.
+MAX_COCYCLE_PAIRS = 2 ** 18
+
+#: Most truncation levels ``nonsplit_infeasibility`` may solve for; its exact
+#: solve grows about as levels**2 (1024 levels take a few seconds).
+MAX_SPLITTING_LEVELS = 2 ** 10
+
 
 class CElement(SparseElement):
     """Immutable sparse combination of the quotient generators, one per
@@ -142,6 +151,10 @@ def verify_cocycle_conditions(bound: int) -> CocycleReport:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    conditions = (2 * bound + 1) ** 2 * (bound + 1) ** 2
+    if conditions > MAX_COCYCLE_PAIRS:
+        raise ValueError("bound %d needs %d derivation conditions, more than the limit of %d"
+                         % (bound, conditions, MAX_COCYCLE_PAIRS))
     gens = [Cgen(d) for d in range(-bound, bound + 1)]
     units = [E(i, j) for i in range(bound + 1) for j in range(bound + 1)]
     pairs = 0
@@ -237,6 +250,9 @@ def nonsplit_infeasibility(levels: int) -> Infeasible:
     """
     if levels < 0:
         raise ValueError("levels must be >= 0")
+    if levels > MAX_SPLITTING_LEVELS:
+        raise ValueError("%d truncation levels are more than the limit of %d"
+                         % (levels, MAX_SPLITTING_LEVELS))
     entries = {}
     for j in range(levels + 1):
         entries[(j + 1, j)] = Fraction(1)

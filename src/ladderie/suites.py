@@ -8,6 +8,7 @@ mutation test can patch one seam and watch the right checks fail.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,14 +99,15 @@ def _jacobi_window(gens, bracket_terms):
 
     ``bracket_terms`` brackets two dicts ``generator -> coefficient``; the
     generators enter as int unit dicts and the pairwise brackets are
-    tabulated once, so an integer kernel creates no Fraction here.
+    tabulated once, so an integer kernel creates no Fraction here.  Rotated
+    triples share one sum, so each rotation class is tried at its least triple.
     """
     units = {g: {g: 1} for g in gens}
     table = {(a, b): bracket_terms(units[a], units[b]) for a in gens for b in gens}
-    for a in gens:
-        for b in gens:
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens[i:], i):
             ab = table[a, b]
-            for c in gens:
+            for c in gens[i + (j > i):]:
                 acc = bracket_terms(ab, units[c])
                 add_into(acc, bracket_terms(table[b, c], units[a]))
                 add_into(acc, bracket_terms(table[c, a], units[b]))
@@ -414,11 +416,11 @@ def check_words_action_representation(bound):
                     failures())
 
 
-def _iota_failures(check, arity, top):
+def _iota_failures(check, arity, top, cases=None):
     """(description, counterexample) of each failing ``check`` over the 1-
-    and 2-letter alphabets, with every index <= top."""
+    and 2-letter alphabets: every index <= top, or ``cases(alphabet, top)``."""
     for alphabet in (words.Alphabet([words.Letter("a", 1)]), _two_letter_alphabet()):
-        for indices in product(range(top + 1), repeat=arity):
+        for indices in cases(alphabet, top) if cases else product(range(top + 1), repeat=arity):
             report = check(*indices, alphabet)
             if not report.passed:
                 yield report.description, report.counterexample
@@ -431,11 +433,29 @@ def check_words_iota_action(bound):
                     _iota_failures(words.check_iota_action, 3, top))
 
 
+def _iota_bracket_suspects(alphabet, top):
+    """The cases (n1, m1, n2, m2, k) failing ``words.check_iota_bracket`` on
+    images cached per alphabet, in order; from a ValueError on, every case."""
+    cases = list(product(range(top + 1), repeat=5))
+    iota_l, iota_h, image = (functools.cache(functools.partial(f, alphabet=alphabet))
+                             for f in (words.iota_l, words.iota_h, words.ladder_action_image))
+    try:
+        for at, (n1, m1, n2, m2, k) in enumerate(cases):
+            if not k:
+                br = ladder.generator_bracket(n1, m1, n2, m2)
+                wb = words.bracket_words(iota_l(n1, m1), iota_l(n2, m2))
+            lhs = sum((c * image(a, b, k) for (a, b), c in br.items()), words.WordPoly())
+            if lhs != words.act_word(wb, iota_h(k)):
+                yield cases[at]
+    except ValueError:
+        yield from cases[at:]
+
+
 def check_words_iota_bracket(bound):
     name = "words.iota_bracket"
     top = min(bound, 3)
     return _verdict(name, "all index pairs <= %d over 1- and 2-letter alphabets" % top,
-                    _iota_failures(words.check_iota_bracket, 5, top))
+                    _iota_failures(words.check_iota_bracket, 5, top, _iota_bracket_suspects))
 
 
 def check_words_coalgebra(bound):

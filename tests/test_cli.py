@@ -227,6 +227,56 @@ def test_betti_refuses_a_structure_file_with_too_many_labels(capsys, tmp_path, m
     assert err.count("\n") == 1 and "2^21 = 2097152 cochains" in err
 
 
+@pytest.mark.parametrize("n", [40, 1000, 10 ** 6])
+def test_the_cochain_refusal_is_one_short_line(capsys, n):
+    """Past 2^64 the message states the dimension and the limit, not 2^dim
+    in full (a 482-digit number at --n 40)."""
+    code, out, err = run(capsys, "cohomology", "betti", "--n", str(n))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.encode()) < 160
+    assert "%d-dimensional algebra has 2^%d cochains" % (n * n, n * n) in err
+
+
+def _must_not_run(*args):
+    raise AssertionError("the refused computation started")
+
+
+@pytest.mark.parametrize("argv, seam, message", [
+    (["extension", "verify", "--bound", "16"], ("extension", "rho"),
+     "bound 16 needs 314721 derivation conditions, more than the limit of 262144"),
+    (["extension", "verify", "--bound", "300"], ("extension", "rho"),
+     "more than the limit of 262144"),
+    (["cohomology", "h1", "--bound", "32"], ("ladder", "generator_bracket"),
+     "bound 32 needs 1185921 generator pairs, more than the limit of 1048576"),
+    (["cohomology", "h1", "--bound", "200", "--with-y"], ("ladder", "generator_bracket"),
+     "more than the limit of 1048576"),
+    (["extension", "infeasible", "--L", "1025"], ("extension", "solve_or_refute"),
+     "1025 truncation levels are more than the limit of 1024"),
+    (["extension", "infeasible", "--L", "3000", "--json"], ("extension", "ExactMatrix"),
+     "more than the limit of 1024"),
+], ids=["ext-verify-16", "ext-verify-300", "h1-32", "h1-200", "infeasible-1025",
+        "infeasible-3000"])
+def test_oversized_windows_are_refused_before_any_work(capsys, monkeypatch, argv, seam,
+                                                        message):
+    from ladderie import extension, ladder
+
+    monkeypatch.setattr({"extension": extension, "ladder": ladder}[seam[0]], seam[1],
+                        _must_not_run)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_the_size_limits_admit_every_bound_verify_accepts():
+    """`verify --bound 15`, the largest it accepts, runs ext.cocycle_conditions
+    and cohomology.h1 at its bound, and ext.splitting_infeasible at 20 levels."""
+    from ladderie import cohomology, extension
+
+    assert (2 * 15 + 1) ** 2 * (15 + 1) ** 2 <= extension.MAX_COCYCLE_PAIRS
+    assert (15 + 1) ** 4 <= cohomology.MAX_H1_PAIRS
+    assert extension.MAX_SPLITTING_LEVELS >= 20
+
+
 @pytest.mark.parametrize("content", ["[1, 2]", "\"ab\"", "{}", "{\"letters\": 3}",
                                      "{\"letters\": [1]}"])
 def test_malformed_alphabet_is_usage_error(capsys, tmp_path, content):

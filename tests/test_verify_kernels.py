@@ -2,13 +2,14 @@
 reference checks they replace, and the word kernels on int and Fraction
 inputs."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderie import ladder, suites, words
+from ladderie import ladder, ladder_module, suites, words
 from ladderie.linalg import add_into
 from ladderie.suites import _fail, _ok, _two_letter_alphabet, _word_generators
 
@@ -215,3 +216,130 @@ def test_jacobi_window_sees_only_ints():
     word_gens = _word_generators(_two_letter_alphabet(), 1)
     assert suites._jacobi_window(word_gens, recording(words._bracket_w)) is None
     assert seen and set(seen) == {int}
+
+
+# -- the rotation-class Jacobi scan and the tabulated iota bracket check ------
+
+
+def reference_jacobi_window(gens, bracket_terms):
+    """The full nested scan the rotation-class scan replaces: every triple."""
+    units = {g: {g: 1} for g in gens}
+    table = {(a, b): bracket_terms(units[a], units[b]) for a in gens for b in gens}
+    for a in gens:
+        for b in gens:
+            ab = table[a, b]
+            for c in gens:
+                acc = bracket_terms(ab, units[c])
+                add_into(acc, bracket_terms(table[b, c], units[a]))
+                add_into(acc, bracket_terms(table[c, a], units[b]))
+                if acc:
+                    return a, b, c
+    return None
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_rotation_scan_equals_the_full_scan_on_the_ladder(bound):
+    gens = [(n, m) for n in range(bound + 1) for m in range(bound + 1)]
+    assert suites._jacobi_window(gens, ladder._bracket_z) is None
+    assert reference_jacobi_window(gens, ladder._bracket_z) is None
+
+
+def test_rotation_scan_equals_the_full_scan_on_words():
+    gens = _word_generators(_two_letter_alphabet(), 2)
+    assert suites._jacobi_window(gens, words._bracket_w) is None
+    assert reference_jacobi_window(gens, words._bracket_w) is None
+
+
+def test_rotation_scan_tries_each_rotation_class_once():
+    """n^2 table brackets, then three for each of the (n^3 + 2n) / 3 classes
+    of triples under rotation, instead of three for each of the n^3 triples."""
+    gens = [(n, m) for n in range(3) for m in range(3)]
+    calls = []
+
+    def counting(ta, tb):
+        calls.append((ta, tb))
+        return ladder._bracket_z(ta, tb)
+
+    assert suites._jacobi_window(gens, counting) is None
+    n = len(gens)
+    assert len(calls) == n * n + (n ** 3 + 2 * n)
+
+
+def _seeded_mutant(original, seed, size):
+    """A generator bracket changed by a seeded rule: every bracket scaled
+    (Jacobi still holds), or the brackets of inputs of some ``size`` scaled,
+    stripped of their first term, or given a spurious term."""
+    rng = random.Random(seed)
+    kind, r, factor = seed % 4, rng.randrange(6), rng.choice([-1, 2, 3])
+
+    def mutant(*args):
+        out = original(*args)
+        if kind and size(args) != r:
+            return out
+        if kind < 2:
+            return {key: factor * c for key, c in out.items()}
+        if kind == 2:
+            return dict(sorted(out.items())[1:])
+        return add_into(dict(out), {(args[0], args[3]): 1})
+    return mutant
+
+
+def _word_size(args):
+    return sum(len(w) for w in args)
+
+
+def test_rotation_scan_equals_the_full_scan_under_seeded_mutants(monkeypatch):
+    """The same CheckResult (ladder, bounds 1 and 2) or triple (words of
+    length <= 1) as the full scan under 24 seeded mutants of each bracket."""
+    ladder_original = ladder.generator_bracket
+    words_original = words.generator_bracket_words
+    word_gens = _word_generators(_two_letter_alphabet(), 1)
+    ladder_passed, words_passed = [], []
+    for seed in range(24):
+        with monkeypatch.context() as patch:
+            patch.setattr(ladder, "generator_bracket", _seeded_mutant(ladder_original, seed, sum))
+            for bound in (1, 2):
+                fast = suites.check_bracket_jacobi(bound)
+                with monkeypatch.context() as reference:
+                    reference.setattr(suites, "_jacobi_window", reference_jacobi_window)
+                    assert suites.check_bracket_jacobi(bound) == fast
+                ladder_passed.append(fast.passed)
+        with monkeypatch.context() as patch:
+            patch.setattr(words, "generator_bracket_words",
+                          _seeded_mutant(words_original, seed, _word_size))
+            fast = suites._jacobi_window(word_gens, words._bracket_w)
+            assert fast == reference_jacobi_window(word_gens, words._bracket_w)
+            words_passed.append(fast is None)
+    for passed in (ladder_passed, words_passed):
+        assert 5 <= passed.count(True) and 5 <= passed.count(False)
+
+
+_WORD_BRACKET = words.generator_bracket_words
+
+
+def _word_bracket_doubled(w1, w2, w3, w4):
+    return {key: 2 * c for key, c in _WORD_BRACKET(w1, w2, w3, w4).items()}
+
+IOTA_MUTANTS = {
+    "theta-flip": (ladder, "theta", lambda k: 1 if k > 0 else 0),
+    "act-unguarded": (ladder_module, "act_generator", lambda n, m, k: k - m + n),
+    "ladder-drop-0": (ladder, "generator_bracket", _ladder_drop(0)),
+    "word-bracket-doubled": (words, "generator_bracket_words", _word_bracket_doubled),
+}
+
+
+def reference_words_iota_bracket(bound):
+    top = min(bound, 3)
+    return suites._verdict(
+        "words.iota_bracket", "all index pairs <= %d over 1- and 2-letter alphabets" % top,
+        suites._iota_failures(words.check_iota_bracket, 5, top))
+
+
+@pytest.mark.parametrize("mutant", [None, *IOTA_MUTANTS])
+@pytest.mark.parametrize("bound", [2, 3])
+def test_tabulated_iota_bracket_equals_the_per_case_loop(monkeypatch, bound, mutant):
+    if mutant is not None:
+        monkeypatch.setattr(*IOTA_MUTANTS[mutant])
+    result = suites.check_words_iota_bracket(bound)
+    assert result.passed is (mutant is None)
+    assert result == reference_words_iota_bracket(bound)
