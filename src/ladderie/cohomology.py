@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -111,9 +110,6 @@ def ce_differential(algebra: FiniteLieAlgebra, k: int) -> ExactMatrix:
     n = algebra.dim
     if not 0 <= k <= n:
         raise ValueError("cochain degree %s out of range" % (k,))
-    # Entries accumulate as ints; a non-integral constant stays a Fraction.
-    consts = {key: [(b, c.numerator if c.denominator == 1 else c) for b, c in vec.items()]
-              for key, vec in algebra.structure.items()}
     pairs = [(p, q, -1 if (p + q) % 2 else 1)
              for p in range(k + 1) for q in range(p + 1, k + 1)]
     cols = {S: c for c, S in enumerate(combinations(range(n), k))}
@@ -121,11 +117,11 @@ def ce_differential(algebra: FiniteLieAlgebra, k: int) -> ExactMatrix:
     entries: dict = {}
     for r, S in enumerate(rows):
         for p, q, sign_pq in pairs:
-            br = consts.get((S[p], S[q]))
+            br = algebra.structure.get((S[p], S[q]))
             if br is None:
                 continue
             rest = S[:p] + S[p + 1:q] + S[q + 1:]
-            for b, c in br:
+            for b, c in br.items():
                 pos = bisect_left(rest, b)
                 if pos < len(rest) and rest[pos] == b:
                     continue
@@ -133,7 +129,7 @@ def ce_differential(algebra: FiniteLieAlgebra, k: int) -> ExactMatrix:
                 sgn = -sign_pq if pos % 2 else sign_pq
                 entries[key] = entries.get(key, 0) + sgn * c
     return ExactMatrix._from_canonical(
-        len(rows), comb(n, k), {key: Fraction(v) for key, v in entries.items() if v})
+        len(rows), comb(n, k), {key: v for key, v in entries.items() if v})
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,7 @@ class H1Report:
     dimension: int
     bound: int
     with_y: bool
-    basis: tuple  # dicts degree -> Fraction over the window
+    basis: tuple  # dicts degree -> scalar over the window
 
 
 def h1_degree_functional(bound: int, with_y: bool = False) -> H1Report:
@@ -230,11 +226,11 @@ def h1_degree_functional(bound: int, with_y: bool = False) -> H1Report:
             br = ladder.generator_bracket(n, m, l, s)
             class_sum = add_into({}, ((a - b, c) for (a, b), c in br.items()))
             if class_sum:
-                rows.append({column(d): Fraction(c) for d, c in class_sum.items()})
+                rows.append({column(d): c for d, c in class_sum.items()})
     if with_y:
         for n, m in gens:
             if n != m:
-                rows.append({column(n - m): Fraction(n - m)})
+                rows.append({column(n - m): n - m})
     ncols = len(window) + len(extra)
     kernel = kernel_rows(rows, ncols)
     restricted = []

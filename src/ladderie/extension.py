@@ -11,16 +11,12 @@ non-splitting of the sequence checkable at any finite size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from . import ladder
 from .glinf import E, GlElement, bracket_ee, embed_to_z
 from .ladder import LieElement
-from .linalg import (ExactMatrix, Infeasible, SparseElement, add_into, commutator,
-                     numerators, solve_or_refute)
-
-_ZERO = Fraction(0)
+from .linalg import ExactMatrix, Infeasible, SparseElement, add_into, commutator, solve_or_refute
 
 #: Most (x, y, xi) derivation conditions ``verify_cocycle_conditions`` may
 #: check, (2 * bound + 1)**2 * (bound + 1)**2; the default admits bounds up
@@ -220,15 +216,13 @@ def obstruction_grid(max_index: int, coefficients=(-2, -1, 0, 1, 2)) -> Obstruct
     """
     ups = [section_s(Cgen(1))] + [embed_to_z(E(h + 1, h)) for h in range(max_index + 1)]
     downs = [section_s(Cgen(-1))] + [embed_to_z(E(k, k + 1)) for k in range(max_index + 1)]
-    table = [[numerators(ladder.bracket(u, v).z) for v in downs] for u in ups]
-    if any(den != 1 for row in table for _, den in row):
-        raise ArithmeticError("non-integer basis bracket")
+    table = [[ladder.bracket(u, v).z for v in downs] for u in ups]
     width = max_index + 1
     cases = 0
     for a in product(coefficients, repeat=width):
         row = [{} for _ in downs]
         for cu, cells in zip((1,) + a, table):
-            for acc, (cell, _) in zip(row, cells):
+            for acc, cell in zip(row, cells):
                 add_into(acc, cell, cu)
         for b in product(coefficients, repeat=width):
             cases += 1
@@ -255,10 +249,10 @@ def nonsplit_infeasibility(levels: int) -> Infeasible:
                          % (levels, MAX_SPLITTING_LEVELS))
     entries = {}
     for j in range(levels + 1):
-        entries[(j + 1, j)] = Fraction(1)
-        entries[(j, j)] = Fraction(-1)
+        entries[(j + 1, j)] = 1
+        entries[(j, j)] = -1
     matrix = ExactMatrix(levels + 2, levels + 1, entries)
-    rhs = [Fraction(1)] + [_ZERO] * (levels + 1)
+    rhs = [1] + [0] * (levels + 1)
     result = solve_or_refute(matrix, rhs)
     if not isinstance(result, Infeasible):
         raise RuntimeError("splitting system unexpectedly solvable")

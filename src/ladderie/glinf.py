@@ -9,14 +9,10 @@ and reports non-membership otherwise.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .ladder import LieElement
-from .linalg import SparseElement, add_into, bilinear, commutator
+from .linalg import Scalar, SparseElement, add_into, bilinear, commutator
 
 EIndex = tuple  # (i, j), both non-negative
-
-_ZERO = Fraction(0)
 
 
 class GlElement(SparseElement):
@@ -76,14 +72,14 @@ def express_in_e(e: LieElement):
         if sum(coeffs.values()):
             return None
         i0, j0 = (d, 0) if d >= 0 else (0, -d)
-        running = _ZERO
+        running = 0
         for k in range(max(coeffs)):
-            running += coeffs.get(k, _ZERO)
+            running += coeffs.get(k, 0)
             if running:
                 out[(i0 + k, j0 + k)] = running
     return GlElement._from_canonical(out)
 
 
-def trace_functional(g: GlElement) -> Fraction:
+def trace_functional(g: GlElement) -> Scalar:
     """Sum of the diagonal coefficients; its kernel is the traceless part."""
-    return sum((c for (i, j), c in g.e.items() if i == j), _ZERO)
+    return sum(c for (i, j), c in g.e.items() if i == j)

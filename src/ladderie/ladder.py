@@ -16,14 +16,12 @@ formula.  deg Z[n,m] = n - m makes the algebra Z-graded; Y has degree 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
-from .linalg import SparseElement, add_into, bilinear, commutator, exact_scalar, kernel_rows
+from .linalg import (SparseElement, add_into, bilinear, commutator, exact_scalar, fraction_repr,
+                     kernel_rows)
 
 ZIndex = tuple  # (n, m), both non-negative
-
-_ZERO = Fraction(0)
 
 
 def theta(k: int) -> int:
@@ -52,19 +50,19 @@ def generator_bracket(n: int, m: int, l: int, s: int) -> dict:
 class LieElement(SparseElement):
     """Immutable sparse combination of Z generators plus a Y coefficient.
 
-    ``z`` maps (n, m) to a nonzero Fraction; ``y`` is the Y coefficient
+    ``z`` maps (n, m) to a nonzero int or Fraction; ``y`` is the Y coefficient
     (zero for elements of the ladder algebra proper).
     """
 
     __slots__ = ("y",)
     z = SparseElement.terms  # the Z part: the same slot, under its own name
 
-    def __init__(self, z=None, y=_ZERO):
+    def __init__(self, z=None, y=0):
         super().__init__(z)
         self.y = exact_scalar(y)
 
     @classmethod
-    def _from_canonical(cls, z: dict, y=_ZERO) -> "LieElement":
+    def _from_canonical(cls, z: dict, y=0) -> "LieElement":
         elem = super()._from_canonical(z)
         elem.y = y
         return elem
@@ -92,7 +90,7 @@ class LieElement(SparseElement):
         return hash((frozenset(self.z.items()), self.y))
 
     def __repr__(self):
-        return "LieElement(%r, y=%r)" % (self.z, self.y)
+        return "LieElement(%s, y=%s)" % (fraction_repr(self.z), fraction_repr(self.y))
 
     def __str__(self):
         from .parsing import format_lie_element

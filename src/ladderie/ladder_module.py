@@ -25,7 +25,7 @@ def _refuse_negative(monomials) -> None:
 
 
 class LadderPoly(SparseElement):
-    """Immutable polynomial: zero-free dict monomial -> Fraction."""
+    """Immutable polynomial: zero-free dict monomial -> int or Fraction."""
 
     __slots__ = ()
 

@@ -1,19 +1,23 @@
 """Exact rational linear algebra over canonical sparse data.
 
-Every coefficient in this package is a ``fractions.Fraction``; nothing here
-(or anywhere downstream) touches floating point.  Sparse vectors are plain
-dicts ``index -> Fraction`` with no stored zeros, so structural equality of
-dicts is equality of vectors, and iteration in sorted key order is the
-canonical order.  ``add_into`` is the one loop that accumulates them, and
-``SparseElement`` the one base of the element classes built on them.  An
-integer kernel runs on ``numerators`` of its operands and makes Fractions
-only at the end, with ``over``.
+Every coefficient in this package is an ``int`` or a ``fractions.Fraction``;
+nothing here (or anywhere downstream) touches floating point.
+``exact_scalar``, which ``canonical`` applies, is the one place that decides
+the type: an int or a Fraction is stored as it is, so integral structure
+constants stay ints, and a value gets a Fraction only where a denominator
+appears.  ``1 == Fraction(1)`` and their hashes agree, so the mix does not
+change equality or hashing.  Sparse vectors are plain dicts
+``index -> scalar`` with no stored zeros, so structural equality of dicts is
+equality of vectors, and iteration in sorted key order is the canonical
+order.  ``add_into`` is the one loop that accumulates them, and
+``SparseElement`` the one base of the element classes built on them.
 
 ``rank`` runs fraction-free sparse elimination on primitive integer rows
 (after Bareiss, 1968) and creates no ``Fraction``.  The sparse rational RREF
 ``_rref`` serves everything that returns vectors: kernel bases, solutions
 and Farkas witnesses, whose normalization it fixes; it is also the reference
-that ``rank`` is tested against.
+that ``rank`` is tested against.  Division is always exact: two ints divide
+into a Fraction, never a float.
 """
 
 from __future__ import annotations
@@ -25,35 +29,34 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
 
-Scalar = Fraction
-
-_ZERO = Fraction(0)
+Scalar = int | Fraction
 
 _SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def scalar_from_str(text: str) -> Fraction:
+def scalar_from_str(text: str) -> Scalar:
     """Parse a rational literal in the form ``scalar_to_str`` writes: an
     optional "-", decimal digits, and optionally "/" and the decimal digits
-    of a nonzero denominator.  Anything else raises ValueError."""
+    of a nonzero denominator; an int without the denominator.  Anything else
+    raises ValueError."""
     match = _SCALAR.fullmatch(text)
     if match is None:
         raise ValueError('%r is not a rational literal "p" or "p/q"' % (text,))
     num, den = match.groups()
     if den is not None and not int(den):
         raise ValueError("zero denominator in %r" % (text,))
-    return Fraction(int(num), int(den or 1))
+    return int(num) if den is None else Fraction(int(num), int(den))
 
 
-def scalar_from_json(value, what: str) -> Fraction:
-    """A JSON integer or a "p/q" string as a Fraction.  Any other JSON value
-    (a float, a bool, null) raises ValueError naming ``what``, so nothing
-    is rounded."""
+def scalar_from_json(value, what: str) -> Scalar:
+    """A JSON integer as it is, or a "p/q" string as ``scalar_from_str``
+    reads it.  Any other JSON value (a float, a bool, null) raises
+    ValueError naming ``what``, so nothing is rounded."""
     if isinstance(value, str):
         return scalar_from_str(value)
     if type(value) is not int:
         raise ValueError('%s %r is neither a JSON integer nor a "p/q" string' % (what, value))
-    return Fraction(value)
+    return value
 
 
 def int_from_json(value, what: str, signed: bool = True) -> int:
@@ -77,11 +80,11 @@ def scalar_to_str(value) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-def exact_scalar(value) -> Fraction:
-    """``value`` as a Fraction.  Only ints and other rationals are exact; a
-    float, complex or Decimal raises TypeError instead of entering an
-    element rounded."""
-    if type(value) is Fraction:
+def exact_scalar(value) -> Scalar:
+    """``value`` as a stored scalar: an int or a Fraction as it is, a bool
+    or any other rational as a Fraction.  A float, complex or Decimal raises
+    TypeError instead of entering an element rounded."""
+    if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, Rational):
         return Fraction(value)
@@ -90,7 +93,7 @@ def exact_scalar(value) -> Fraction:
 
 def canonical(entries) -> dict:
     """Copy ``entries`` (mapping or (key, value) pairs, duplicates allowed)
-    into a fresh zero-free dict with Fraction values."""
+    into a fresh zero-free dict of ``exact_scalar`` values."""
     items = entries.items() if hasattr(entries, "items") else entries
     return add_into({}, ((key, exact_scalar(value)) for key, value in items))
 
@@ -101,8 +104,8 @@ def add_into(acc: dict, entries, scale=None) -> dict:
 
     ``entries`` is a mapping or an iterable of (key, value) pairs, duplicates
     allowed; without ``scale`` the values are added as they are.  Values are
-    summed as given, so ints stay ints (the generator tables) and any
-    Fraction makes the sum a Fraction.
+    summed as given, so ints stay ints and any Fraction makes the sum a
+    Fraction.
     """
     if scale is not None and not scale:
         return acc
@@ -133,30 +136,15 @@ def commutator(ab, ba) -> dict:
 
 def bilinear(table, ta: Mapping, tb: Mapping) -> dict:
     """``table(a1, a2, b1, b2) -> dict`` extended bilinearly to pair-keyed
-    dicts; int coefficients give int results."""
+    dicts; int coefficients give int results.  A pair whose table entry is
+    empty costs no coefficient product."""
     acc: dict = {}
     for (a1, a2), ca in ta.items():
         for (b1, b2), cb in tb.items():
-            add_into(acc, table(a1, a2, b1, b2), ca * cb)
+            out = table(a1, a2, b1, b2)
+            if out:
+                add_into(acc, out, ca * cb)
     return acc
-
-
-def numerators(terms: Mapping) -> tuple:
-    """``terms`` over their common denominator: ``(nums, den)`` with int
-    ``nums[key] == terms[key] * den``, so an integer kernel can run on
-    ``nums`` and divide once at the end (see ``over``)."""
-    den = lcm(*[v.denominator for v in terms.values()])
-    if den == 1:
-        return {key: v.numerator for key, v in terms.items()}, 1
-    return {key: v.numerator * (den // v.denominator) for key, v in terms.items()}, den
-
-
-def over(nums: dict, den: int) -> dict:
-    """The zero-free int dict ``nums`` divided by ``den``, with Fraction
-    values: the element boundary of an integer kernel."""
-    if den == 1:
-        return {key: Fraction(v) for key, v in nums.items()}
-    return {key: Fraction(v, den) for key, v in nums.items()}
 
 
 def lin_combine(terms: Iterable[tuple]) -> dict:
@@ -171,8 +159,17 @@ def lin_combine(terms: Iterable[tuple]) -> dict:
     return acc
 
 
+def fraction_repr(value) -> str:
+    """``repr`` of a scalar, or of a dict of scalars, with every value
+    written as a Fraction, as element reprs have always shown them."""
+    if type(value) is dict:
+        return repr({key: Fraction(v) for key, v in value.items()})
+    return repr(Fraction(value))
+
+
 class SparseElement:
-    """Immutable zero-free combination ``key -> Fraction``, held in ``terms``.
+    """Immutable zero-free combination ``key -> scalar`` (int or Fraction),
+    held in ``terms``.
 
     The base of every element class: addition, subtraction, negation,
     scaling by an exact scalar on either side, equality, hashing and
@@ -194,8 +191,8 @@ class SparseElement:
     @classmethod
     def _from_canonical(cls, terms: dict):
         """Wrap ``terms`` without copying; the caller guarantees normalised
-        keys and nonzero ``Fraction`` values, as a kernel that accumulated
-        them with ``add_into`` does."""
+        keys and nonzero int or Fraction values, as a kernel that
+        accumulated them with ``add_into`` does."""
         elem = cls.__new__(cls)
         elem.terms = terms
         elem._check()
@@ -240,18 +237,20 @@ class SparseElement:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        return "%s(%r)" % (type(self).__name__, self.terms)
+        return "%s(%s)" % (type(self).__name__, fraction_repr(self.terms))
 
 
 class ExactMatrix:
     """Sparse matrix over the rationals; ``entries`` maps (row, col) to a
-    nonzero Fraction."""
+    nonzero int or Fraction.  ``rows`` and ``cols`` are non-negative ints."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries=None):
-        self.rows = int(rows)
-        self.cols = int(cols)
+        for size in (rows, cols):
+            if type(size) is not int or size < 0:
+                raise ValueError("matrix dimension %r is not a non-negative int" % (size,))
+        self.rows, self.cols = rows, cols
         ent = canonical(entries or {})
         for r, c in ent:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
@@ -275,14 +274,14 @@ class ExactMatrix:
     @classmethod
     def _from_canonical(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
         """Wrap ``entries`` without copying; the caller guarantees the
-        contract (in range, nonzero ``Fraction`` values)."""
+        contract (in range, nonzero int or Fraction values)."""
         matrix = cls.__new__(cls)
         matrix.rows, matrix.cols, matrix.entries = rows, cols, entries
         return matrix
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     def row_dicts(self) -> list:
         out = [dict() for _ in range(self.rows)]
@@ -297,7 +296,7 @@ class ExactMatrix:
     def mul_vec(self, vec: Sequence) -> list:
         if len(vec) != self.cols:
             raise ValueError("vector length %d != %d columns" % (len(vec), self.cols))
-        out = [_ZERO] * self.rows
+        out = [0] * self.rows
         for (r, c), v in self.entries.items():
             out[r] += v * exact_scalar(vec[c])
         return out
@@ -321,7 +320,7 @@ def _rref(row_dicts: Sequence[Mapping], exclude=frozenset(), track=False):
     """
     rows = [dict(r) for r in row_dicts]
     m = len(rows)
-    trans = [{i: Fraction(1)} for i in range(m)] if track else None
+    trans = [{i: 1} for i in range(m)] if track else None
     pivots = []
     pivoted = set()
     all_cols = sorted({c for r in rows for c in r if c not in exclude})
@@ -333,7 +332,7 @@ def _rref(row_dicts: Sequence[Mapping], exclude=frozenset(), track=False):
         pivoted.add(i0)
         pv = rows[i0][col]
         if pv != 1:
-            inv = 1 / pv
+            inv = Fraction(pv.denominator, pv.numerator)
             rows[i0] = {c: v * inv for c, v in rows[i0].items()}
             if track:
                 trans[i0] = {c: v * inv for c, v in trans[i0].items()}
@@ -414,32 +413,32 @@ def solve_or_refute(matrix: ExactMatrix, rhs: Sequence):
     rhs_col = matrix.cols  # pseudo-column carried through elimination
     rows = matrix.row_dicts()
     for r, b in enumerate(rhs):
-        b = Fraction(b)
+        b = exact_scalar(b)
         if b:
             rows[r][rhs_col] = b
     red, pivots, trans = _rref(rows, exclude={rhs_col}, track=True)
     for i, row in enumerate(red):
         if row and set(row) == {rhs_col}:
-            witness = tuple(trans[i].get(r, _ZERO) for r in range(matrix.rows))
+            witness = tuple(trans[i].get(r, 0) for r in range(matrix.rows))
             return Infeasible(witness=witness,
                               rank_matrix=len(pivots),
                               rank_augmented=len(pivots) + 1)
-    x = [_ZERO] * matrix.cols
+    x = [0] * matrix.cols
     for col, i in pivots:
-        x[col] = red[i].get(rhs_col, _ZERO)
+        x[col] = red[i].get(rhs_col, 0)
     return x
 
 
 def kernel_rows(row_dicts: Sequence[Mapping], ncols: int) -> list:
     """Basis of the right kernel of the stacked rows, as zero-free dicts
-    ``column -> Fraction``, ordered by ascending free column."""
+    ``column -> scalar``, ordered by ascending free column."""
     red, pivots, _ = _rref(row_dicts)
     pivot_cols = {col for col, _ in pivots}
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for col, i in pivots:
             v = red[i].get(free)
             if v:

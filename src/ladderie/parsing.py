@@ -103,10 +103,10 @@ class _Parser:
 
     def term(self, sign):
         pos = self.peek()[2]
-        coeff = Fraction(sign)
+        coeff = sign
         atoms = []
         if self.peek()[0] == "INT":
-            coeff *= self.rational()
+            coeff = self.rational(sign)
             if self.peek()[0] == "*":
                 self.take()
                 atoms = self.factors()
@@ -114,15 +114,17 @@ class _Parser:
             atoms = self.factors()
         return (coeff, atoms, pos)
 
-    def rational(self):
-        num = int(self.take("INT")[1])
+    def rational(self, sign):
+        """``sign`` times a literal: an int, or a Fraction when it has a
+        denominator."""
+        num = sign * int(self.take("INT")[1])
         if self.peek()[0] == "/":
             self.take()
             den_tok = self.take("INT")
             if int(den_tok[1]) == 0:
                 raise ParseError("zero denominator", den_tok[2])
             return Fraction(num, int(den_tok[1]))
-        return Fraction(num)
+        return num
 
     def factors(self):
         atoms = [self.atom()]
@@ -206,7 +208,7 @@ def _single_atom(terms, kinds, what):
 
 def _lie_from_terms(terms) -> LieElement:
     z = []
-    y = Fraction(0)
+    y = 0
     for coeff, (kind, payload) in _single_atom(terms, ("Z", "Y"), "a Z/Y element"):
         if kind == "Y":
             y += coeff

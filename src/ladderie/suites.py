@@ -333,7 +333,7 @@ def check_module_representation(bound):
 def _random_monomial(rng):
     return ladder_module.LadderPoly(
         {tuple(sorted(rng.randrange(5) for _ in range(rng.randrange(1, 4)))):
-         Fraction(rng.randint(-3, 3) or 1)})
+         rng.randint(-3, 3) or 1})
 
 
 def check_module_leibniz(bound):

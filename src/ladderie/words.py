@@ -19,8 +19,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import ladder, ladder_module
-from .linalg import (SparseElement, add_into, bilinear, commutator, exact_scalar, int_from_json,
-                     numerators, over, scalar_from_json, scalar_to_str)
+from .linalg import (Scalar, SparseElement, add_into, bilinear, commutator, exact_scalar,
+                     int_from_json, scalar_from_json, scalar_to_str)
 
 Word = tuple  # of letter names
 
@@ -39,7 +39,7 @@ class Letter:
 
     name: str
     degree: int
-    sym: Fraction = Fraction(1)
+    sym: Scalar = 1
 
     def __post_init__(self):
         if not (isinstance(self.name, str) and len(self.name) == 1
@@ -162,9 +162,7 @@ def _act_w(tg: dict, tp: dict) -> dict:
 
 
 def act_word(g: WordLieElement, p: WordPoly) -> WordPoly:
-    ng, dg = numerators(g.terms)
-    np_, dp = numerators(p.terms)
-    return WordPoly._from_canonical(over(_act_w(ng, np_), dg * dp))
+    return WordPoly._from_canonical(_act_w(g.terms, p.terms))
 
 
 def generator_product_words(w1: Word, w2: Word, w3: Word, w4: Word):
@@ -193,15 +191,13 @@ def _bracket_w(ta: dict, tb: dict) -> dict:
 
 
 def bracket_words(a: WordLieElement, b: WordLieElement) -> WordLieElement:
-    na, da = numerators(a.terms)
-    nb, db = numerators(b.terms)
-    return WordLieElement._from_canonical(over(_bracket_w(na, nb), da * db))
+    return WordLieElement._from_canonical(_bracket_w(a.terms, b.terms))
 
 
 def word_coproduct(w: Word) -> dict:
     """Deconcatenation: all prefix/suffix splits including the empty ends."""
     w = tuple(w)
-    return {(w[:k], w[k:]): Fraction(1) for k in range(len(w) + 1)}
+    return {(w[:k], w[k:]): 1 for k in range(len(w) + 1)}
 
 
 def word_poly_coproduct(p: WordPoly) -> dict:
@@ -321,9 +317,9 @@ def dse_expand(alphabet: Alphabet, order: int) -> DseExpansion:
     if size > MAX_DSE_LETTERS:
         raise ValueError("the expansion to order %d needs at least %d letters (each order "
                          "counts 32), more than the limit of %d" % (order, size, MAX_DSE_LETTERS))
-    c_parts = [{EMPTY_WORD: Fraction(1)}]
+    c_parts = [{EMPTY_WORD: 1}]
     for j in range(1, order + 1):  # letter names are unique: each word arises once
-        c_parts.append({(l.name,) + word: coeff / l.sym
+        c_parts.append({(l.name,) + word: Fraction(coeff, l.sym)
                         for l in alphabet if l.degree <= j
                         for word, coeff in c_parts[j - l.degree].items()})
     d_parts = [dict() for _ in range(order + 1)]

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderie.linalg import (ExactMatrix, Infeasible, _rref, canonical,
-                             kernel_basis, lin_combine, matmul, rank,
+from ladderie.cohomology import h1_degree_functional
+from ladderie.ladder import LieElement, centralizer_basis
+from ladderie.linalg import (ExactMatrix, Infeasible, _rref, canonical, exact_scalar,
+                             kernel_basis, kernel_rows, lin_combine, matmul, rank,
                              scalar_from_str, scalar_to_str, solve_or_refute)
+from ladderie.words import Alphabet, Letter, dse_expand
 
 
 def test_scalar_strings():
@@ -38,6 +41,16 @@ def test_scalar_to_str_refuses_inexact_values(value):
 @given(st.fractions() | st.integers())
 def test_scalar_to_str_round_trips(value):
     assert scalar_from_str(scalar_to_str(value)) == value
+
+
+def test_exact_scalar_keeps_ints_and_fractions():
+    assert type(exact_scalar(3)) is int and type(exact_scalar(F(3, 2))) is F
+    assert type(exact_scalar(True)) is F and exact_scalar(True) == 1
+    assert canonical({"a": 2, "b": F(1, 2), "c": 0}) == {"a": 2, "b": F(1, 2)}
+    assert [type(v) for v in canonical({"a": 2, "b": F(2)}).values()] == [int, F]
+    for value in (0.5, 2.0, 1j, Decimal("0.5")):
+        with pytest.raises(TypeError):
+            exact_scalar(value)
 
 
 def test_lin_combine_examples():
@@ -119,6 +132,12 @@ def test_solve_solution_verifies_exactly():
         assert m.mul_vec(res) == rhs
 
 
+@pytest.mark.parametrize("value", [0.1, 1.0, Decimal("0.1")])
+def test_solve_refuses_an_inexact_rhs(value):
+    with pytest.raises(TypeError):
+        solve_or_refute(ExactMatrix.from_rows([[1]]), [value])
+
+
 def test_infeasible_certificate_is_a_farkas_witness():
     m = ExactMatrix.from_rows([[1, 2], [2, 4], [0, 0]])
     cert = solve_or_refute(m, [1, 3, 0])
@@ -154,6 +173,40 @@ def test_matrix_validation():
         ExactMatrix(1, 1, {(1, 0): 1})
     with pytest.raises(ValueError):
         ExactMatrix.identity(2).mul_vec([1])
+
+
+@pytest.mark.parametrize("rows, cols", [(2.9, 3), (2, 3.0), (-1, 2), (2, -1), (True, 1),
+                                        ("2", 2), (F(2), 2)])
+def test_matrix_dimensions_are_non_negative_ints(rows, cols):
+    with pytest.raises(ValueError):
+        ExactMatrix(rows, cols)
+
+
+def exact_values(values) -> bool:
+    values = list(values)
+    return bool(values) and all(type(v) in (int, F) for v in values)
+
+
+def test_int_inputs_with_non_unit_pivots_give_exact_values():
+    """Division by a stored int must make a Fraction, never a float."""
+    rows = [{0: 2, 1: 3, 2: 5}, {0: 4, 1: 3}, {1: 6, 2: -4}]
+    red, pivots, trans = _rref(rows, track=True)
+    assert len(pivots) == 3
+    assert exact_values(v for row in red + trans for v in row.values())
+    kernel = kernel_rows(rows[:2], 3)
+    assert len(kernel) == 1 and exact_values(kernel[0].values()) and len(kernel[0]) == 3
+    m = ExactMatrix.from_rows([[2, 4], [3, 7]])
+    solution = solve_or_refute(m, [1, 2])
+    assert exact_values(solution) and m.mul_vec(solution) == [1, 2]
+    cert = solve_or_refute(ExactMatrix.from_rows([[2, 4], [3, 6]]), [1, 1])
+    assert isinstance(cert, Infeasible) and exact_values(cert.witness)
+    for with_y in (False, True):
+        report = h1_degree_functional(3, with_y)
+        assert exact_values(v for vec in report.basis for v in vec.values())
+    basis = centralizer_basis([LieElement({(1, 1): 2, (2, 0): 3})], 3)
+    assert exact_values(c for e in basis for c in e.z.values())
+    exp = dse_expand(Alphabet([Letter("a", 1, 2), Letter("b", 2)]), 4)
+    assert exact_values(c for p in exp.c + exp.d for c in p.terms.values())
 
 
 rational_entries = st.one_of(

@@ -85,8 +85,7 @@ def dense_obstruction_grid(max_index, coefficients=(-2, -1, 0, 1, 2)):
         for cell in row:
             vec = [0] * nc
             for idx, c in cell.items():
-                assert c.denominator == 1
-                vec[pos[idx]] = c.numerator
+                vec[pos[idx]] = c
             vec_row.append(vec)
         vec_table.append(vec_row)
     width = max_index + 1
@@ -164,15 +163,23 @@ def test_sparse_obstruction_grid_equals_the_dense_grid(max_index, coefficients):
             == dense_obstruction_grid(max_index, coefficients))
 
 
-def test_obstruction_grid_refuses_a_non_integer_basis_bracket(monkeypatch):
-    monkeypatch.setattr(ladder, "bracket", lambda u, v: ladder.LieElement({(0, 0): Fraction(1, 2)}))
-    with pytest.raises(ArithmeticError, match="non-integer basis bracket"):
-        extension.obstruction_grid(0)
-
-
 def _ladder_drop_first(n, m, l, s):
     out = six_term_ladder(n, m, l, s)
     return add_into(out, {(l - m + n, s): -1}) if theta(l - m) else out
+
+
+@pytest.mark.parametrize("table", [six_term_ladder, _ladder_drop_first])
+@pytest.mark.parametrize("max_index", [1, 2])
+def test_obstruction_grid_of_a_half_integer_bracket_equals_the_dense_grid(monkeypatch, max_index,
+                                                                         table):
+    """Basis brackets with denominators are summed exactly, as the dense
+    grid sums them; without the first term some correction still splits."""
+    monkeypatch.setattr(ladder, "generator_bracket",
+                        lambda *quad: {k: Fraction(v, 2) for k, v in table(*quad).items()})
+    assert {c.denominator for c in ladder.bracket(ladder.Z(1, 0), ladder.Z(0, 1)).z.values()} == {2}
+    report = extension.obstruction_grid(max_index)
+    assert report.all_nonzero == (table is six_term_ladder)
+    assert report == dense_obstruction_grid(max_index)
 
 
 @pytest.mark.parametrize("coefficients", [(-2, -1, 0, 1, 2), (-1, 0, 1)])

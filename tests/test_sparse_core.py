@@ -53,13 +53,13 @@ def normal(kind, terms):
 
 def check_element(elem, kind, ref_terms, ref_y=0):
     """``elem`` holds exactly canonical(ref_terms), stores only nonzero
-    Fractions, and equals (and hashes as) the publicly built element."""
+    ints and Fractions, and equals (and hashes as) the publicly built element."""
     assert type(elem) is kind
     assert elem.terms == canonical(ref_terms)
-    assert all(type(c) is F and c for c in elem.terms.values())
+    assert all(type(c) in (int, F) and c for c in elem.terms.values())
     public = kind(ref_terms, ref_y) if kind is LieElement else kind(ref_terms)
     if kind is LieElement:
-        assert type(elem.y) is F and elem.y == ref_y
+        assert type(elem.y) in (int, F) and elem.y == ref_y
     assert elem == public and hash(elem) == hash(public)
     assert elem.is_zero() == (not elem.terms and not ref_y)
 
