@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from . import glinf, ladder
@@ -85,18 +85,14 @@ def truncate_gl(n: int) -> FiniteLieAlgebra:
     """gl(n) on the matrix units E[i,j], 0 <= i, j < n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    labels = ["E[%d,%d]" % (i, j) for i in range(n) for j in range(n)]
-    idx = {(i, j): i * n + j for i in range(n) for j in range(n)}
+    units = list(product(range(n), repeat=2))
+    idx = {unit: a for a, unit in enumerate(units)}
     structure = {}
-    units = sorted(idx, key=idx.get)
-    for a in range(n * n):
-        i, j = units[a]
-        for b in range(a + 1, n * n):
-            r, k = units[b]
-            vec = {idx[key]: c for key, c in glinf.generator_bracket_ee(i, j, r, k).items()}
-            if vec:
-                structure[(a, b)] = vec
-    return FiniteLieAlgebra(labels, structure)
+    for a, b in combinations(range(n * n), 2):
+        vec = {idx[key]: c for key, c in glinf.generator_bracket_ee(*units[a], *units[b]).items()}
+        if vec:
+            structure[(a, b)] = vec
+    return FiniteLieAlgebra(["E[%d,%d]" % unit for unit in units], structure)
 
 
 def abelian_algebra(dim: int) -> FiniteLieAlgebra:
@@ -210,14 +206,10 @@ def h1_degree_functional(bound: int, with_y: bool = False) -> H1Report:
                          % (bound, (bound + 1) ** 4, MAX_H1_PAIRS))
     window = list(range(-bound, bound + 1))
     col_of = {d: i for i, d in enumerate(window)}
-    extra: dict = {}
 
     def column(d):
-        if d in col_of:
-            return col_of[d]
-        if d not in extra:
-            extra[d] = len(window) + len(extra)
-        return extra[d]
+        """The window's columns first, then each extra class as it appears."""
+        return col_of.setdefault(d, len(col_of))
 
     gens = [(n, m) for n in range(bound + 1) for m in range(bound + 1)]
     rows = []
@@ -231,14 +223,10 @@ def h1_degree_functional(bound: int, with_y: bool = False) -> H1Report:
         for n, m in gens:
             if n != m:
                 rows.append({column(n - m): n - m})
-    ncols = len(window) + len(extra)
-    kernel = kernel_rows(rows, ncols)
-    restricted = []
-    for vec in kernel:
-        row = {c: v for c, v in vec.items() if c < len(window)}
-        if row:
-            restricted.append(row)
-    reduced, pivots, _ = _rref(restricted)
+    kernel = kernel_rows(rows, len(col_of))
+    # an empty projected row never pivots
+    reduced, pivots, _ = _rref([{c: v for c, v in vec.items() if c < len(window)}
+                                for vec in kernel])
     basis = []
     for _, i in pivots:
         basis.append({window[c]: v for c, v in sorted(reduced[i].items())})

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import ladder
-from .glinf import E, GlElement, bracket_ee, embed_to_z
+from .glinf import E, GlElement, bracket_ee, embed_to_z, generator_bracket_ee
 from .ladder import LieElement
-from .linalg import ExactMatrix, Infeasible, SparseElement, add_into, commutator, solve_or_refute
+from .linalg import (ExactMatrix, Infeasible, SparseElement, action_cases, add_into, bilinear,
+                     commutator, solve_or_refute)
 
 #: Most (x, y, xi) derivation conditions ``verify_cocycle_conditions`` may
 #: check, (2 * bound + 1)**2 * (bound + 1)**2; the default admits bounds up
@@ -151,32 +152,31 @@ def verify_cocycle_conditions(bound: int) -> CocycleReport:
     if conditions > MAX_COCYCLE_PAIRS:
         raise ValueError("bound %d needs %d derivation conditions, more than the limit of %d"
                          % (bound, conditions, MAX_COCYCLE_PAIRS))
-    gens = [Cgen(d) for d in range(-bound, bound + 1)]
-    units = [E(i, j) for i in range(bound + 1) for j in range(bound + 1)]
-    pairs = 0
-    for x, y in product(gens, repeat=2):
-        r = rho(x, y)
-        ab = c_bracket(x, y)
-        for xi in units:
-            pairs += 1
-            lhs = (alpha(x, alpha(y, xi)) - alpha(y, alpha(x, xi))
-                   - alpha(ab, xi))
-            rhs = bracket_ee(r, xi)
-            if lhs != rhs:
-                return CocycleReport(False, bound, pairs, 0,
-                                     "derivation condition fails at x=%s, y=%s, xi=%s"
-                                     % (x, y, xi))
-    triples = 0
-    for x, y, z in product(gens, repeat=3):
-        triples += 1
-        total = GlElement()
-        for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
-            total = total + alpha(u, rho(v, w)) - rho(c_bracket(u, v), w)
-        if not total.is_zero():
-            return CocycleReport(False, bound, pairs, triples,
+    degrees = range(-bound, bound + 1)
+    units = list(product(range(bound + 1), repeat=2))
+    # C is abelian, so the alpha([x,y]) and rho([x,y], z) terms vanish: the
+    # derivation condition is the action identity with rho acting by ad
+    cases = action_cases(
+        degrees, units,
+        lambda x, g: alpha(CElement._from_canonical(x), GlElement._from_canonical(g)).e,
+        lambda x, y: rho(CElement._from_canonical(x), CElement._from_canonical(y)).e,
+        lambda r, g: bilinear(generator_bracket_ee, r, g))
+    for pairs, (x, y, xi, holds) in enumerate(cases, 1):
+        if not holds:
+            return CocycleReport(False, bound, pairs, 0,
+                                 "derivation condition fails at x=%s, y=%s, xi=%s"
+                                 % (Cgen(x), Cgen(y), E(*xi)))
+    gens = [Cgen(d) for d in degrees]
+    for triples, (x, y, z) in enumerate(product(gens, repeat=3), 1):
+        try:
+            holds = (alpha(x, rho(y, z)) + alpha(y, rho(z, x)) + alpha(z, rho(x, y))).is_zero()
+        except ValueError:
+            holds = False
+        if not holds:
+            return CocycleReport(False, bound, conditions, triples,
                                  "cyclic condition fails at x=%s, y=%s, z=%s"
                                  % (x, y, z))
-    return CocycleReport(True, bound, pairs, triples)
+    return CocycleReport(True, bound, conditions, len(gens) ** 3)
 
 
 def nonsplit_obstruction(b_plus: GlElement, b_minus: GlElement) -> LieElement:

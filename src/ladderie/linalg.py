@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence
@@ -147,6 +148,39 @@ def bilinear(table, ta: Mapping, tb: Mapping) -> dict:
     return acc
 
 
+def action_cases(gens, targets, act, bracket, bracket_act=None):
+    """Each case (a, b, w, holds) of [a,b] w = a(b w) - b(a w) for a, b in
+    ``gens`` and w in ``targets``, in nested order, on int unit dicts:
+    ``act(u, v)`` is a new dict, u acting on v, ``bracket(u, v)`` brackets
+    two generators and ``bracket_act`` (default ``act``) lets a bracket act.
+    Each image a(w) is computed once and each bracket once per pair.
+    ``holds`` is None when the case raised ValueError (an image left its
+    space, say)."""
+    bracket_act = bracket_act or act
+
+    def or_none(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError:
+            return None
+
+    units = {g: {g: 1} for g in gens}
+    image = {(g, w): or_none(act, units[g], {w: 1}) for g in gens for w in targets}
+    for a, b in product(gens, repeat=2):
+        ab = or_none(bracket, units[a], units[b])
+        for w in targets:
+            ia, ib = image[a, w], image[b, w]
+            holds = None
+            if ab is not None and ia is not None and ib is not None:
+                try:
+                    rhs = act(units[a], ib)
+                    add_into(rhs, act(units[b], ia), -1)
+                    holds = bracket_act(ab, {w: 1}) == rhs
+                except ValueError:
+                    pass
+            yield a, b, w, holds
+
+
 def lin_combine(terms: Iterable[tuple]) -> dict:
     """Exact linear combination of sparse vectors.
 
@@ -261,15 +295,10 @@ class ExactMatrix:
     def from_rows(cls, dense_rows: Sequence[Sequence]) -> "ExactMatrix":
         rows = len(dense_rows)
         cols = len(dense_rows[0]) if rows else 0
-        ent = {}
-        for r, row in enumerate(dense_rows):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                v = exact_scalar(v)
-                if v:
-                    ent[(r, c)] = v
-        return cls(rows, cols, ent)
+        if any(len(row) != cols for row in dense_rows):
+            raise ValueError("ragged rows")
+        return cls(rows, cols, (((r, c), v) for r, row in enumerate(dense_rows)
+                                for c, v in enumerate(row)))
 
     @classmethod
     def _from_canonical(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 from . import cohomology, extension, glinf, ladder, ladder_module, words
-from .linalg import Infeasible, add_into, matmul
+from .linalg import Infeasible, action_cases, add_into, matmul
 
 
 @dataclass(frozen=True)
@@ -400,20 +400,11 @@ def check_words_action_representation(bound):
     alphabet = _two_letter_alphabet()
     gens = _word_generators(alphabet, 2)
     targets = [w for k in range(4) for w in alphabet.words(k)]
-    units = {g: {g: 1} for g in gens}
-    image = {(g, w): words._act_w(units[g], {w: 1}) for g in gens for w in targets}
-
-    def failures():
-        for a, b in product(gens, repeat=2):
-            ab = words._bracket_w(units[a], units[b])
-            for w in targets:
-                rhs = words._act_w(units[a], image[b, w])
-                add_into(rhs, words._act_w(units[b], image[a, w]), -1)
-                if words._act_w(ab, {w: 1}) != rhs:
-                    yield ("length <= 2 generators on words <= 3", "%r, %r on %r" % (
-                        words.Zw(*a), words.Zw(*b), words.WordPoly({w: 1})))
-    return _verdict(name, "%d generator pairs on %d words" % (len(gens) ** 2, len(targets)),
-                    failures())
+    return _verdict(name, "%d generator pairs on %d words" % (len(gens) ** 2, len(targets)), (
+        ("length <= 2 generators on words <= 3",
+         "%r, %r on %r" % (words.Zw(*a), words.Zw(*b), words.WordPoly({w: 1})))
+        for a, b, w, holds in action_cases(gens, targets, words._act_w, words._bracket_w)
+        if not holds))
 
 
 def _iota_failures(check, arity, top, cases=None):

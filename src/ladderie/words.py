@@ -71,9 +71,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.letters)
 
-    def letter(self, name: str) -> Letter:
-        return self._by_name[name]
-
     def __contains__(self, name) -> bool:
         return name in self._by_name
 

@@ -182,6 +182,18 @@ def test_matrix_dimensions_are_non_negative_ints(rows, cols):
         ExactMatrix(rows, cols)
 
 
+def test_from_rows_reads_each_entry_once_into_a_zero_free_matrix():
+    m = ExactMatrix.from_rows([[0, F(1, 2)], [3, F(0)], [0, 0]])
+    assert (m.rows, m.cols, m.entries) == (3, 2, {(0, 1): F(1, 2), (1, 0): 3})
+    assert type(m.entries[(1, 0)]) is int
+    empty = ExactMatrix.from_rows([])
+    assert (empty.rows, empty.cols, empty.entries) == (0, 0, {})
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows([[1, 0.5]])
+    with pytest.raises(ValueError, match="ragged"):
+        ExactMatrix.from_rows([[1, 2], [3]])
+
+
 def exact_values(values) -> bool:
     values = list(values)
     return bool(values) and all(type(v) in (int, F) for v in values)

@@ -94,6 +94,22 @@ MUTANTS = {
 }
 
 
+def _act_leaving_at_4(n, m, k):
+    return -1 if k == 4 else _ACT_ORIGINAL(n, m, k)
+
+
+def _rho_negative_at_1_minus_1(a, b):
+    return {(-1, 0): 1} if (a, b) == (1, -1) else _RHO_ORIGINAL(a, b)
+
+
+#: Seams patched so that a case of a representation check raises ValueError:
+#: t[4] goes to t[-1], and rho(C[1], C[-1]) to E[-1,0].
+RAISING_MUTANTS = {
+    "act-leaves-at-4": (ladder_module, "act_generator", _act_leaving_at_4),
+    "rho-negative-at-1-minus-1": (extension, "rho_on_generators", _rho_negative_at_1_minus_1),
+}
+
+
 def _load(name):
     with open(os.path.join(DATA, name), encoding="utf-8") as handle:
         return handle.read()
@@ -129,6 +145,32 @@ def test_failures_under_a_mutant_match_the_golden_results(monkeypatch, mutant):
     expected = _golden()[mutant]
     got = {fn: dataclasses.asdict(getattr(suites, fn)(BOUND)) for fn in expected}
     assert got == expected
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS) + sorted(RAISING_MUTANTS))
+def test_every_check_reports_under_a_mutant(monkeypatch, mutant):
+    """No check raises: whatever a seam does, each returns a CheckResult."""
+    monkeypatch.setattr(*{**MUTANTS, **RAISING_MUTANTS}[mutant])
+    for fn in suites._CHECKS:
+        assert isinstance(fn(BOUND), suites.CheckResult), fn.__name__
+
+
+@pytest.mark.parametrize("mutant, check, counterexample", [
+    ("act-leaves-at-4", "check_module_representation",
+     "image leaves the module at Z[0,0]/Z[2,0] on t[2]"),
+    ("rho-negative-at-1-minus-1", "check_ext_cocycles",
+     "derivation condition fails at x=C[-1], y=C[1], xi=E[0,0]"),
+])
+def test_a_value_error_in_a_representation_case_is_a_fail(monkeypatch, capsys, mutant, check,
+                                                          counterexample):
+    monkeypatch.setattr(*RAISING_MUTANTS[mutant])
+    result = getattr(suites, check)(BOUND)
+    assert (result.passed, result.detail, result.counterexample) == (
+        False, "bound %d" % BOUND, counterexample)
+    assert main(["verify", "--bound", str(BOUND)]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL %s (bound %d): %s\n" % (result.name, BOUND, counterexample) in out
+    assert err == ""
 
 
 def _failing_checks():

@@ -3,13 +3,17 @@ reference checks they replace, and the word kernels on int and Fraction
 inputs."""
 
 import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderie import ladder, ladder_module, suites, words
+from ladderie import extension, glinf, ladder, ladder_module, linalg, suites, words
+from ladderie.extension import CocycleReport
+from ladderie.ladder_module import ActionReport
 from ladderie.linalg import add_into
 from ladderie.suites import _fail, _ok, _two_letter_alphabet, _word_generators
 
@@ -70,6 +74,71 @@ def reference_words_action_representation(bound):
                     return _fail(name, "length <= 2 generators on words <= 3",
                                  "%r, %r on %r" % (a, b, p))
     return _ok(name, "%d generator pairs on %d words" % (len(gens) ** 2, len(targets)))
+
+
+def reference_module_representation(generator_bound, ladder_bound=None):
+    """The element-level scan of ``ladder_module.verify_action_is_representation``;
+    a ValueError anywhere in a case means its image left the module."""
+    if ladder_bound is None:
+        ladder_bound = generator_bound
+    gens = [(n, m) for n in range(generator_bound + 1) for m in range(generator_bound + 1)]
+    act = ladder_module.act
+    checked = 0
+    for n, m in gens:
+        x = ladder.Z(n, m)
+        for l, s in gens:
+            y = ladder.Z(l, s)
+            for k in range(ladder_bound + 1):
+                checked += 1
+                tk = ladder_module.t(k)
+                try:
+                    holds = (act(ladder.bracket(x, y), tk)
+                             == act(x, act(y, tk)) - act(y, act(x, tk)))
+                except ValueError:
+                    return ActionReport(False, generator_bound, ladder_bound, checked,
+                                        "image leaves the module at Z[%d,%d]/Z[%d,%d] on t[%d]"
+                                        % (n, m, l, s, k))
+                if not holds:
+                    return ActionReport(False, generator_bound, ladder_bound, checked,
+                                        "fails at Z[%d,%d], Z[%d,%d], t[%d]" % (n, m, l, s, k))
+    return ActionReport(True, generator_bound, ladder_bound, checked)
+
+
+def reference_cocycle_conditions(bound):
+    """The element-level scan of ``extension.verify_cocycle_conditions``,
+    with the alpha([x,y]) and rho([x,y], z) terms kept; a ValueError
+    anywhere in a case fails it."""
+    alpha, rho, c_bracket = extension.alpha, extension.rho, extension.c_bracket
+    gens = [extension.Cgen(d) for d in range(-bound, bound + 1)]
+    units = [glinf.E(i, j) for i in range(bound + 1) for j in range(bound + 1)]
+    pairs = 0
+    for x, y in product(gens, repeat=2):
+        for xi in units:
+            pairs += 1
+            try:
+                lhs = (alpha(x, alpha(y, xi)) - alpha(y, alpha(x, xi))
+                       - alpha(c_bracket(x, y), xi))
+                holds = lhs == glinf.bracket_ee(rho(x, y), xi)
+            except ValueError:
+                holds = False
+            if not holds:
+                return CocycleReport(False, bound, pairs, 0,
+                                     "derivation condition fails at x=%s, y=%s, xi=%s"
+                                     % (x, y, xi))
+    triples = 0
+    for x, y, z in product(gens, repeat=3):
+        triples += 1
+        try:
+            total = glinf.GlElement()
+            for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+                total = total + alpha(u, rho(v, w)) - rho(c_bracket(u, v), w)
+            holds = total.is_zero()
+        except ValueError:
+            holds = False
+        if not holds:
+            return CocycleReport(False, bound, pairs, triples,
+                                 "cyclic condition fails at x=%s, y=%s, z=%s" % (x, y, z))
+    return CocycleReport(True, bound, pairs, triples)
 
 
 PAIRS = [
@@ -343,3 +412,93 @@ def test_tabulated_iota_bracket_equals_the_per_case_loop(monkeypatch, bound, mut
     result = suites.check_words_iota_bracket(bound)
     assert result.passed is (mutant is None)
     assert result == reference_words_iota_bracket(bound)
+
+
+# -- the one representation window ----------------------------------------
+
+_ACT_GENERATOR = ladder_module.act_generator
+_RHO = extension.rho_on_generators
+
+
+def _act_off_by_one(n, m, k):
+    out = _ACT_GENERATOR(n, m, k)
+    return out + 1 if (n, m, k) == (1, 0, 2) else out
+
+
+def _act_leaving_at_4(n, m, k):
+    return -1 if k == 4 else _ACT_GENERATOR(n, m, k)
+
+
+def _rho_dropping_a_term(a, b):
+    out = dict(_RHO(a, b))
+    if (a, b) in ((1, -2), (-2, 1)):
+        out.pop((0, 1), None)
+    return out
+
+
+def _rho_negative_at_1_minus_1(a, b):
+    return {(-1, 0): 1} if (a, b) == (1, -1) else _RHO(a, b)
+
+
+REPRESENTATION_MUTANTS = {
+    "theta-flip": IOTA_MUTANTS["theta-flip"],
+    "act-unguarded": IOTA_MUTANTS["act-unguarded"],
+    "act-off-by-one": (ladder_module, "act_generator", _act_off_by_one),
+    "ladder-drop-0": IOTA_MUTANTS["ladder-drop-0"],
+    "rho-drop": (extension, "rho_on_generators", _rho_dropping_a_term),
+    "act-leaves-at-4": (ladder_module, "act_generator", _act_leaving_at_4),
+    "rho-negative-at-1-minus-1": (extension, "rho_on_generators", _rho_negative_at_1_minus_1),
+}
+
+
+@pytest.mark.parametrize("mutant", [None, *REPRESENTATION_MUTANTS])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_window_reports_equal_the_element_scans(monkeypatch, bound, mutant):
+    """Equal reports, down to the case count at the first failure."""
+    if mutant is not None:
+        monkeypatch.setattr(*REPRESENTATION_MUTANTS[mutant])
+    module = ladder_module.verify_action_is_representation(bound)
+    assert module == reference_module_representation(bound)
+    cocycles = extension.verify_cocycle_conditions(bound)
+    assert cocycles == reference_cocycle_conditions(bound)
+    if mutant is None:
+        assert module.passed and cocycles.passed
+
+
+def test_action_window_sees_only_ints(monkeypatch):
+    """On all three checks the window's kernels take and return int dicts,
+    and no Fraction is made while the checks run."""
+    seen = {}
+
+    def recording(check):
+        def window(gens, targets, *kernels):
+            def record(kernel):
+                def call(u, v):
+                    out = kernel(u, v)
+                    seen.setdefault(check, set()).update(
+                        type(c) for d in (u, v, out) for c in d.values())
+                    return out
+                return call
+            return linalg.action_cases(gens, targets, *map(record, kernels))
+        return window
+
+    checks = {"words.action_representation": suites, "module.representation": ladder_module,
+              "ext.cocycle_conditions": extension}
+    for check, module in checks.items():
+        monkeypatch.setattr(module, "action_cases", recording(check))
+    made = []
+    new = Fraction.__new__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            made.append(frame.f_back.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        results = [suites.check_words_action_representation(2),
+                   suites.check_module_representation(2), suites.check_ext_cocycles(2)]
+    finally:
+        sys.setprofile(None)
+    assert all(r.passed for r in results)
+    assert seen == dict.fromkeys(checks, {int})
+    assert not made
