@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import ladder
-from .glinf import E, GlElement, bracket_ee, embed_to_z, generator_bracket_ee
+from .glinf import E, GlElement, _bracket_e, bracket_ee, embed_to_z
 from .ladder import LieElement
-from .linalg import (ExactMatrix, Infeasible, SparseElement, action_cases, add_into, bilinear,
-                     commutator, solve_or_refute)
+from .linalg import (ExactMatrix, Infeasible, SparseElement, action_cases, add_into, commutator,
+                     solve_or_refute)
 
 #: Most (x, y, xi) derivation conditions ``verify_cocycle_conditions`` may
 #: check, (2 * bound + 1)**2 * (bound + 1)**2; the default admits bounds up
@@ -160,7 +160,7 @@ def verify_cocycle_conditions(bound: int) -> CocycleReport:
         degrees, units,
         lambda x, g: alpha(CElement._from_canonical(x), GlElement._from_canonical(g)).e,
         lambda x, y: rho(CElement._from_canonical(x), CElement._from_canonical(y)).e,
-        lambda r, g: bilinear(generator_bracket_ee, r, g))
+        _bracket_e)
     for pairs, (x, y, xi, holds) in enumerate(cases, 1):
         if not holds:
             return CocycleReport(False, bound, pairs, 0,

@@ -10,7 +10,7 @@ and reports non-membership otherwise.
 from __future__ import annotations
 
 from .ladder import LieElement
-from .linalg import Scalar, SparseElement, add_into, bilinear, commutator
+from .linalg import Scalar, SparseElement, add_into, bilinear, commutator, over_common_denominator
 
 EIndex = tuple  # (i, j), both non-negative
 
@@ -41,8 +41,12 @@ def generator_bracket_ee(i: int, j: int, r: int, k: int) -> dict:
     return commutator((i, k) if j == r else None, (r, j) if k == i else None)
 
 
+def _bracket_e(ta: dict, tb: dict) -> dict:
+    return bilinear(generator_bracket_ee, ta, tb)
+
+
 def bracket_ee(a: GlElement, b: GlElement) -> GlElement:
-    return GlElement._from_canonical(bilinear(generator_bracket_ee, a.e, b.e))
+    return GlElement._from_canonical(over_common_denominator(_bracket_e, a.e, b.e))
 
 
 def embed_to_z(g: GlElement) -> LieElement:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .linalg import (SparseElement, add_into, bilinear, commutator, exact_scalar, fraction_repr,
-                     kernel_rows)
+                     kernel_rows, over_common_denominator)
 
 ZIndex = tuple  # (n, m), both non-negative
 
@@ -112,7 +112,7 @@ def _bracket_z(za: Mapping, zb: Mapping) -> dict:
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Bilinear bracket on the extended algebra ([Y, Y] = 0)."""
-    acc = _bracket_z(a.z, b.z)
+    acc = over_common_denominator(_bracket_z, a.z, b.z)
     if a.y:
         add_into(acc, (((n, m), (n - m) * c) for (n, m), c in b.z.items()), a.y)
     if b.y:

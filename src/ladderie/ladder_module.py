@@ -16,13 +16,16 @@ from .ladder import LieElement
 from .linalg import SparseElement, action_cases, add_into
 
 Monomial = tuple  # sorted t indices, e.g. (0, 1, 1) for t[0]*t[1]^2
+MAX_MONOMIAL_DEGREE = 1000  #: the largest degree admitted; ``act`` is quadratic in it
 
 
-def _refuse_negative(monomials) -> None:
-    """ValueError unless every (sorted) monomial has non-negative indices."""
+def _check_monomials(monomials) -> None:
+    """ValueError unless each sorted monomial is non-negative and within the limit."""
     for mono in monomials:
         if mono and mono[0] < 0:
             raise ValueError("negative ladder index in monomial %r" % (mono,))
+        if len(mono) > MAX_MONOMIAL_DEGREE:
+            raise ValueError("monomial degree %d exceeds %d" % (len(mono), MAX_MONOMIAL_DEGREE))
 
 
 class LadderPoly(SparseElement):
@@ -35,7 +38,7 @@ class LadderPoly(SparseElement):
         return tuple(sorted(mono))
 
     def _check(self) -> None:
-        _refuse_negative(self.terms)
+        _check_monomials(self.terms)
 
     @classmethod
     def one(cls) -> "LadderPoly":
@@ -68,7 +71,7 @@ class TensorPoly(SparseElement):
         return tuple(sorted(pair[0])), tuple(sorted(pair[1]))
 
     def _check(self) -> None:
-        _refuse_negative(mono for pair in self.terms for mono in pair)
+        _check_monomials(mono for pair in self.terms for mono in pair)
 
     @classmethod
     def one(cls) -> "TensorPoly":

@@ -148,6 +148,19 @@ def bilinear(table, ta: Mapping, tb: Mapping) -> dict:
     return acc
 
 
+def over_common_denominator(kernel, ta: Mapping, tb: Mapping) -> dict:
+    """Bilinear ``kernel(ta, tb)`` run on int numerators: each operand scaled by
+    the lcm of its denominators, each output value divided once by their product."""
+    da = lcm(*(c.denominator for c in ta.values()))
+    db = lcm(*(c.denominator for c in tb.values()))
+    if da == db == 1:
+        return kernel(ta, tb)
+    out = kernel({k: c.numerator * (da // c.denominator) for k, c in ta.items()},
+                 {k: c.numerator * (db // c.denominator) for k, c in tb.items()})
+    den = da * db
+    return {k: v // den if v % den == 0 else Fraction(v, den) for k, v in out.items()}
+
+
 def action_cases(gens, targets, act, bracket, bracket_act=None):
     """Each case (a, b, w, holds) of [a,b] w = a(b w) - b(a w) for a, b in
     ``gens`` and w in ``targets``, in nested order, on int unit dicts:

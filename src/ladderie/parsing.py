@@ -25,7 +25,7 @@ from fractions import Fraction
 from .extension import CElement
 from .glinf import GlElement
 from .ladder import LieElement
-from .ladder_module import LadderPoly
+from .ladder_module import MAX_MONOMIAL_DEGREE, LadderPoly
 from .linalg import int_from_json, scalar_from_json, scalar_to_str
 from .words import WordLieElement
 
@@ -231,6 +231,8 @@ def _ladder_from_terms(terms) -> LadderPoly:
     for _, atoms, pos in terms:
         if any(kind != "T" for kind, _ in atoms):
             raise ParseError("expected a t generator", pos)
+        if (degree := sum(power for _, (_, power) in atoms)) > MAX_MONOMIAL_DEGREE:
+            raise ParseError("monomial degree %d exceeds %d" % (degree, MAX_MONOMIAL_DEGREE), pos)
     return LadderPoly(([k for _, (k, power) in atoms for _ in range(power)], coeff)
                       for coeff, atoms, _ in terms)
 

@@ -20,7 +20,7 @@ from itertools import product
 
 from . import ladder, ladder_module
 from .linalg import (Scalar, SparseElement, add_into, bilinear, commutator, exact_scalar,
-                     int_from_json, scalar_from_json, scalar_to_str)
+                     int_from_json, over_common_denominator, scalar_from_json, scalar_to_str)
 
 Word = tuple  # of letter names
 
@@ -181,14 +181,12 @@ def generator_bracket_words(w1: Word, w2: Word, w3: Word, w4: Word) -> dict:
 
 
 def _bracket_w(ta: dict, tb: dict) -> dict:
-    """Word bracket of two generator combinations, as dicts; int
-    coefficients give int results.  ``generator_bracket_words`` is looked
-    up at call time, so patching the module attribute reaches every caller."""
+    """Word bracket of generator dicts; ``generator_bracket_words`` is looked up at call time."""
     return bilinear(generator_bracket_words, ta, tb)
 
 
 def bracket_words(a: WordLieElement, b: WordLieElement) -> WordLieElement:
-    return WordLieElement._from_canonical(_bracket_w(a.terms, b.terms))
+    return WordLieElement._from_canonical(over_common_denominator(_bracket_w, a.terms, b.terms))
 
 
 def word_coproduct(w: Word) -> dict:

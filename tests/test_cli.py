@@ -418,3 +418,25 @@ def test_dse_expand_refuses_an_oversized_expansion(capsys, alphabet_file):
     assert time.perf_counter() - start < 5
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "letters" in err
+
+
+def test_act_refuses_a_huge_power_before_expanding_it(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "act", "Z[0,0]", "t[0]^100000000000")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == "error: monomial degree 100000000000 exceeds 1000 at position 0\n"
+
+
+def test_the_monomial_limit_adds_up_the_powers_of_a_term(capsys):
+    code, out, err = run(capsys, "act", "Z[0,0]", "t[1] + 2*t[0]^999*t[1]^2")
+    assert code == 2 and out == ""
+    assert err == "error: monomial degree 1001 exceeds 1000 at position 7\n"
+
+
+def test_act_runs_at_the_monomial_limit(capsys):
+    from ladderie.ladder_module import MAX_MONOMIAL_DEGREE as limit
+
+    code, out, err = run(capsys, "act", "Z[1,0]", "t[0]^%d" % limit)
+    assert code == 0 and err == ""
+    assert out == "%d*t[0]^%d*t[1]\n" % (limit, limit - 1)

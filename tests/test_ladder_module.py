@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ladderie import ladder_module
+from ladderie import ladder_module, parsing
 from ladderie.ladder import LieElement, Y, Z, bracket
 from ladderie.ladder_module import (LadderPoly, TensorPoly, act, coproduct, t,
                                     verify_action_is_representation)
@@ -125,3 +125,21 @@ def test_leibniz_random():
 def test_negative_ladder_index_rejected():
     with pytest.raises(ValueError):
         t(-1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LadderPoly({(0,) * 1001: 1}),
+    lambda: LadderPoly._from_canonical({tuple(range(1001)): F(1, 2)}),
+    lambda: LadderPoly({(0,) * 600: 1}) * LadderPoly({(1,) * 401: 1}),
+    lambda: TensorPoly({((), (2,) * 1001): 1}),
+    lambda: parsing.ladder_from_json({"terms": [{"m": [0] * 1001, "c": 1}]})])
+def test_a_monomial_above_the_degree_limit_is_refused(build):
+    with pytest.raises(ValueError, match="monomial degree 1001 exceeds 1000"):
+        build()
+
+
+def test_the_degree_limit_itself_is_admitted():
+    limit = ladder_module.MAX_MONOMIAL_DEGREE
+    p = LadderPoly({(0,) * (limit - 1): 1}) * t(3)
+    assert parsing.parse_ladder_poly("t[0]^%d*t[3]" % (limit - 1)) == p
+    assert parsing.ladder_from_json(parsing.ladder_to_json(p)) == p
