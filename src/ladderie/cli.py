@@ -30,19 +30,8 @@ def _emit(args, status: str, payload, text: str) -> int:
     return 0 if status != "fail" else 1
 
 
-# Element type -> (JSON writer, text formatter), both from ``parsing``.
-_RENDER = {
-    ladder.LieElement: (parsing.lie_to_json, parsing.format_lie_element),
-    glinf.GlElement: (parsing.gl_to_json, parsing.format_gl_element),
-    extension.CElement: (parsing.c_to_json, parsing.format_c_element),
-    ladder_module.LadderPoly: (parsing.ladder_to_json, parsing.format_ladder_poly),
-    words.WordLieElement: (parsing.word_element_to_json, parsing.format_word_element),
-}
-
-
 def _value(args, elem) -> int:
-    to_json, to_text = _RENDER[type(elem)]
-    return _emit(args, "value", to_json(elem), to_text(elem))
+    return _emit(args, "value", parsing.element_to_json(elem), parsing.format_element(elem))
 
 
 def _unary(parse, op):
@@ -84,8 +73,8 @@ def _cmd_decompose(args) -> int:
     dec = ladder.decompose_generator(args.n, args.m)
     parts = {"left": dec.left, "right": dec.right, "tail": dec.tail,
              "evaluates_to": dec.evaluate()}
-    text = {key: parsing.format_lie_element(e) for key, e in parts.items()}
-    return _emit(args, "value", {key: parsing.lie_to_json(e) for key, e in parts.items()},
+    text = {key: parsing.format_element(e) for key, e in parts.items()}
+    return _emit(args, "value", {key: parsing.element_to_json(e) for key, e in parts.items()},
                  "[%(left)s, %(right)s]" % text
                  + ("" if dec.tail.is_zero() else " + (%(tail)s)" % text)
                  + " = %(evaluates_to)s" % text)
@@ -101,8 +90,8 @@ def _cmd_to_e(args) -> int:
     g = glinf.express_in_e(e)
     if g is None:
         return _emit(args, "value", {"in_ideal": False}, "not-in-ideal")
-    payload = {"in_ideal": True, **parsing.gl_to_json(g)}
-    return _emit(args, "value", payload, parsing.format_gl_element(g))
+    payload = {"in_ideal": True, **parsing.element_to_json(g)}
+    return _emit(args, "value", payload, parsing.format_element(g))
 
 
 def _cmd_extension_verify(args) -> int:
@@ -119,9 +108,9 @@ def _cmd_extension_obstruct(args) -> int:
     b_plus = parsing.parse_gl_element(_read_expr(args.bplus))
     b_minus = parsing.parse_gl_element(_read_expr(args.bminus))
     r = extension.nonsplit_obstruction(b_plus, b_minus)
-    payload = {"obstruction": parsing.lie_to_json(r), "nonzero": not r.is_zero()}
+    payload = {"obstruction": parsing.element_to_json(r), "nonzero": not r.is_zero()}
     return _emit(args, "value", payload, "%s (%s)" % (
-        parsing.format_lie_element(r), "nonzero" if payload["nonzero"] else "ZERO"))
+        parsing.format_element(r), "nonzero" if payload["nonzero"] else "ZERO"))
 
 
 def _cmd_extension_infeasible(args) -> int:

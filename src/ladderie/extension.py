@@ -35,11 +35,6 @@ class CElement(SparseElement):
 
     __slots__ = ()
 
-    def __str__(self):
-        from .parsing import format_c_element
-
-        return format_c_element(self)
-
 
 def Cgen(d: int, coeff=1) -> CElement:
     return CElement({d: coeff})

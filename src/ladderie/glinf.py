@@ -26,11 +26,6 @@ class GlElement(SparseElement):
             if i < 0 or j < 0:
                 raise ValueError("negative E index (%s, %s)" % (i, j))
 
-    def __str__(self):
-        from .parsing import format_gl_element
-
-        return format_gl_element(self)
-
 
 def E(i: int, j: int, coeff=1) -> GlElement:
     return GlElement({(i, j): coeff})

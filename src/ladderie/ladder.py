@@ -92,11 +92,6 @@ class LieElement(SparseElement):
     def __repr__(self):
         return "LieElement(%s, y=%s)" % (fraction_repr(self.z), fraction_repr(self.y))
 
-    def __str__(self):
-        from .parsing import format_lie_element
-
-        return format_lie_element(self)
-
 
 def Z(n: int, m: int, coeff=1) -> LieElement:
     return LieElement({(n, m): coeff})

@@ -51,11 +51,6 @@ class LadderPoly(SparseElement):
             (tuple(sorted(m1 + m2)), c1 * c2)
             for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())))
 
-    def __str__(self):
-        from .parsing import format_ladder_poly
-
-        return format_ladder_poly(self)
-
 
 def t(k: int, coeff=1) -> LadderPoly:
     return LadderPoly({(k,): coeff})
@@ -95,18 +90,24 @@ def act_generator(n: int, m: int, k: int):
     return None
 
 
-def act(e: LieElement, p: LadderPoly) -> LadderPoly:
-    """Derivation action of an extended-algebra element on a polynomial."""
+def _act_t(tz: dict, tp: dict) -> dict:
+    """The Z dict ``tz`` acting on the monomial dict ``tp``; ValueError, as from ``LadderPoly``,
+    for an image outside the module.  ``act_generator`` is looked up at call time."""
     acc: dict = {}
-    for mono, cp in p.terms.items():
-        for (n, m), cz in e.z.items():
+    for mono, cp in tp.items():
+        for (n, m), cz in tz.items():
             c = cp * cz
             images = (act_generator(n, m, k) for k in mono)
             add_into(acc, ((tuple(sorted(mono[:i] + (knew,) + mono[i + 1:])), c)
                            for i, knew in enumerate(images) if knew is not None))
-        if e.y:
-            add_into(acc, {mono: sum(mono) * cp}, e.y)
-    return LadderPoly._from_canonical(acc)
+    _check_monomials(acc)
+    return acc
+
+
+def act(e: LieElement, p: LadderPoly) -> LadderPoly:
+    """Derivation action of an extended-algebra element on a polynomial."""
+    return LadderPoly._from_canonical(add_into(_act_t(e.z, p.terms), (
+        (mono, sum(mono) * cp) for mono, cp in p.terms.items()), e.y))
 
 
 def coproduct(p: LadderPoly) -> TensorPoly:
@@ -147,11 +148,7 @@ def verify_action_is_representation(generator_bound: int, ladder_bound=None) -> 
         ladder_bound = generator_bound
     gens = list(product(range(generator_bound + 1), repeat=2))
     targets = [(k,) for k in range(ladder_bound + 1)]
-
-    def act_on_units(z, terms):
-        return act(LieElement._from_canonical(z), LadderPoly._from_canonical(terms)).terms
-
-    cases = action_cases(gens, targets, act_on_units, ladder._bracket_z)
+    cases = action_cases(gens, targets, _act_t, ladder._bracket_z)
     for checked, ((n, m), (l, s), (k,), holds) in enumerate(cases, 1):
         if not holds:
             text = ("image leaves the module at Z[%d,%d]/Z[%d,%d] on t[%d]" if holds is None

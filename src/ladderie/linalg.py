@@ -219,8 +219,8 @@ class SparseElement:
     held in ``terms``.
 
     The base of every element class: addition, subtraction, negation,
-    scaling by an exact scalar on either side, equality, hashing and
-    ``repr`` are defined here once.  A subclass may supply ``_key``, which
+    scaling by an exact scalar on either side, equality, hashing, ``repr``
+    and ``str`` are defined here once.  A subclass may supply ``_key``, which
     normalises a caller's key, and ``_check``, which validates the keys of
     every element built, trusted or not.
     """
@@ -285,6 +285,13 @@ class SparseElement:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, fraction_repr(self.terms))
+
+    def __str__(self):
+        """The text form that ``parsing`` writes for its element families,
+        else ``repr``."""
+        from . import parsing
+
+        return parsing.format_element(self) if type(self) in parsing._FAMILIES else repr(self)
 
 
 class ExactMatrix:

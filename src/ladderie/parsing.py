@@ -269,40 +269,21 @@ def parse_element(src: str):
 
 
 def _join_terms(parts) -> str:
+    """(coefficient, body) pairs as signed text.  Each sign and magnitude is
+    read from the numerator and denominator, so no Fraction is made."""
     if not parts:
         return "0"
     out = []
     for idx, (coeff, body) in enumerate(parts):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        if body and mag == 1:
-            text = body
-        elif body:
-            text = "%s*%s" % (scalar_to_str(mag), body)
-        else:
-            text = scalar_to_str(mag)
+        num, den = coeff.numerator, coeff.denominator
+        text = str(abs(num)) if den == 1 else "%d/%d" % (abs(num), den)
+        if body:
+            text = body if text == "1" else text + "*" + body
         if idx == 0:
-            out.append("-" + text if neg else text)
+            out.append("-" + text if num < 0 else text)
         else:
-            out.append((" - " if neg else " + ") + text)
+            out.append((" - " if num < 0 else " + ") + text)
     return "".join(out)
-
-
-def format_lie_element(e: LieElement) -> str:
-    parts = []
-    if e.y:
-        parts.append((e.y, "Y"))
-    for n, m in sorted(e.z):
-        parts.append((e.z[(n, m)], "Z[%d,%d]" % (n, m)))
-    return _join_terms(parts)
-
-
-def format_gl_element(g: GlElement) -> str:
-    return _join_terms([(g.e[(i, j)], "E[%d,%d]" % (i, j)) for i, j in sorted(g.e)])
-
-
-def format_c_element(x: CElement) -> str:
-    return _join_terms([(x.terms[d], "C[%d]" % d) for d in sorted(x.terms)])
 
 
 def format_monomial(mono) -> str:
@@ -318,23 +299,44 @@ def format_monomial(mono) -> str:
     return "*".join(factors)
 
 
-def format_ladder_poly(p: LadderPoly) -> str:
-    parts = []
-    for mono in sorted(p.terms, key=lambda m: (len(m), m)):
-        parts.append((p.terms[mono], format_monomial(mono)))
-    return _join_terms(parts)
-
-
 def format_word(w) -> str:
     return "".join(w) if w else "e"
 
 
-def format_word_element(wle: WordLieElement) -> str:
-    parts = []
-    for w1, w2 in sorted(wle.terms):
-        parts.append((wle.terms[(w1, w2)],
-                      "Z[%s,%s]" % (format_word(w1), format_word(w2))))
+# Element type -> (JSON list name, key order, text of a key, JSON fields of a
+# key).  A word element's JSON is its bare term list; a Lie element also
+# writes its Y coefficient, first in the text and as "y" in the JSON.
+_FAMILIES = {
+    LieElement: ("z", None, lambda k: "Z[%d,%d]" % k, lambda k: {"n": k[0], "m": k[1]}),
+    GlElement: ("e", None, lambda k: "E[%d,%d]" % k, lambda k: {"i": k[0], "j": k[1]}),
+    CElement: ("c", None, lambda d: "C[%d]" % d, lambda d: {"d": d}),
+    LadderPoly: ("terms", lambda m: (len(m), m), format_monomial, lambda m: {"m": list(m)}),
+    WordLieElement: (None, None, lambda k: "Z[%s,%s]" % (format_word(k[0]), format_word(k[1])),
+                     lambda k: {"w1": format_word(k[0]), "w2": format_word(k[1])}),
+}
+
+
+def format_element(x) -> str:
+    """The text form of an element of a type in ``_FAMILIES``."""
+    _, order, text, _ = _FAMILIES[type(x)]
+    parts = [(x.y, "Y")] if type(x) is LieElement and x.y else []
+    parts.extend((x.terms[k], text(k)) for k in sorted(x.terms, key=order))
     return _join_terms(parts)
+
+
+def element_to_json(x):
+    """The JSON form of an element of a type in ``_FAMILIES``: its term
+    objects, each with its coefficient as "c", under the list name."""
+    name, order, _, fields = _FAMILIES[type(x)]
+    terms = [{**fields(k), "c": scalar_to_str(x.terms[k])} for k in sorted(x.terms, key=order)]
+    if name is None:
+        return terms
+    return {"y": scalar_to_str(x.y), name: terms} if type(x) is LieElement else {name: terms}
+
+
+format_lie_element = format_gl_element = format_c_element = format_ladder_poly = \
+    format_word_element = format_element
+lie_to_json = gl_to_json = c_to_json = ladder_to_json = word_element_to_json = element_to_json
 
 
 def parse_word_element(src: str, alphabet) -> WordLieElement:
@@ -343,13 +345,14 @@ def parse_word_element(src: str, alphabet) -> WordLieElement:
         _Parser(src, alphabet).parse_terms(), ("Z",), "a word element"))
 
 
-def _json_terms(obj, key: str, index) -> dict:
-    """{index(term): coefficient} over the JSON term objects listed under
-    ``key`` of the JSON object ``obj`` (none when the key is absent)."""
+def _json_terms(obj, key: str, index) -> list:
+    """(index(term), coefficient) pairs over the JSON term objects listed
+    under ``key`` of the JSON object ``obj`` (none when the key is absent);
+    a repeated term stays, for the element constructor to add up."""
     items = obj.get(key, []) if isinstance(obj, dict) else None
     if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
         raise ValueError("expected a JSON object whose %r is a list of objects" % key)
-    return {index(item): scalar_from_json(item.get("c"), "coefficient") for item in items}
+    return [(index(item), scalar_from_json(item.get("c"), "coefficient")) for item in items]
 
 
 def _index(item: dict, key: str, signed: bool = False) -> int:
@@ -363,43 +366,18 @@ def _monomial(item: dict) -> tuple:
     return tuple(int_from_json(k, "t index", signed=False) for k in mono)
 
 
-def lie_to_json(e: LieElement) -> dict:
-    return {"y": scalar_to_str(e.y),
-            "z": [{"n": n, "m": m, "c": scalar_to_str(e.z[(n, m)])}
-                  for n, m in sorted(e.z)]}
-
-
 def lie_from_json(obj) -> LieElement:
     z = _json_terms(obj, "z", lambda item: (_index(item, "n"), _index(item, "m")))
     return LieElement(z, scalar_from_json(obj.get("y", "0"), "Y coefficient"))
-
-
-def gl_to_json(g: GlElement) -> dict:
-    return {"e": [{"i": i, "j": j, "c": scalar_to_str(g.e[(i, j)])}
-                  for i, j in sorted(g.e)]}
 
 
 def gl_from_json(obj) -> GlElement:
     return GlElement(_json_terms(obj, "e", lambda item: (_index(item, "i"), _index(item, "j"))))
 
 
-def c_to_json(x: CElement) -> dict:
-    return {"c": [{"d": d, "c": scalar_to_str(x.terms[d])} for d in sorted(x.terms)]}
-
-
 def c_from_json(obj) -> CElement:
     return CElement(_json_terms(obj, "c", lambda item: _index(item, "d", signed=True)))
 
 
-def ladder_to_json(p: LadderPoly) -> dict:
-    return {"terms": [{"m": list(mono), "c": scalar_to_str(p.terms[mono])}
-                      for mono in sorted(p.terms, key=lambda m: (len(m), m))]}
-
-
 def ladder_from_json(obj) -> LadderPoly:
     return LadderPoly(_json_terms(obj, "terms", _monomial))
-
-
-def word_element_to_json(wle: WordLieElement) -> list:
-    return [{"w1": format_word(w1), "w2": format_word(w2), "c": scalar_to_str(c)}
-            for (w1, w2), c in sorted(wle.terms.items())]

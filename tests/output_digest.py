@@ -1,0 +1,80 @@
+"""One sha256 over what the CLI prints, to compare two trees byte for byte.
+
+    python tests/output_digest.py [--seeds 1 2 3] [--bounds 1 2 3 4]
+
+It runs every request of the benchmark's cli-mix stream for each seed
+(``perfbench/workloads.py``; 960 requests a seed), and ``verify --bound B``
+in text and with ``--json`` for each bound, through ``cli.main`` of the
+package under ``src`` next to this file.  Each response is its exit code,
+stdout and stderr.  It prints one digest per seed and per bound, then one
+over all of them; two trees print the same lines exactly when every
+response is the same.  Run it in each tree and compare the output.  The
+alphabet file goes to a temporary directory under a relative path, so no
+path of this run can reach a response.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402
+from ladderie import cli  # noqa: E402
+
+
+def responses(argvs):
+    """(exit code, stdout, stderr) of ``cli.main`` on each argv."""
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        yield code, out.getvalue(), err.getvalue()
+
+
+def digest(argvs, total) -> str:
+    """sha256 of the responses to ``argvs``, also fed to ``total``; with
+    the number of responses."""
+    part = hashlib.sha256()
+    count = 0
+    for response in responses(argvs):
+        line = json.dumps(response).encode() + b"\n"
+        part.update(line)
+        total.update(line)
+        count += 1
+    return "%s  %d responses" % (part.hexdigest(), count)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3])
+    parser.add_argument("--bounds", type=int, nargs="*", default=[1, 2, 3, 4])
+    args = parser.parse_args(argv)
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        here = os.getcwd()
+        os.chdir(workdir)
+        try:
+            mix = workloads.CliMix()
+            for seed in args.seeds:
+                mix.prepare(seed, os.curdir)
+                print("cli-mix seed %d: %s" % (seed, digest((a for _, a, _ in mix.mix), total)))
+        finally:
+            os.chdir(here)
+    for bound in args.bounds:
+        argvs = (["verify", "--bound", str(bound)] + flag for flag in ([], ["--json"]))
+        print("verify bound %d: %s" % (bound, digest(argvs, total)))
+    print("total: %s" % total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

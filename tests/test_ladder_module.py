@@ -108,6 +108,17 @@ def test_representation_law_fails_without_the_step_guard(monkeypatch):
     assert report.counterexample
 
 
+def test_act_kernel_refuses_an_image_outside_the_module(monkeypatch):
+    """The dict kernel the representation window calls refuses a negative
+    index by itself, and it reaches ``act_generator`` at call time."""
+    assert ladder_module._act_t({(0, 2): 1}, {(1,): 1}) == {}
+    monkeypatch.setattr(ladder_module, "act_generator", lambda n, m, k: k - m + n)
+    for apply in (lambda: ladder_module._act_t({(0, 2): 1}, {(1,): 1}),
+                  lambda: act(Z(0, 2), t(1))):
+        with pytest.raises(ValueError, match="negative ladder index"):
+            apply()
+
+
 def test_leibniz_random():
     rng = random.Random(13)
     for _ in range(60):
