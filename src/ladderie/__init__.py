@@ -17,15 +17,14 @@ from .ladder import (LieElement, Y, Z, bracket, centralizer_basis,
                      decompose_generator, degree, theta, triangular_split)
 from .ladder_module import (LadderPoly, TensorPoly, act, coproduct, t,
                             verify_action_is_representation)
-from .linalg import (ExactMatrix, Infeasible, Scalar, kernel_basis,
-                     lin_combine, rank, scalar_from_str, scalar_to_str,
-                     solve_or_refute)
+from .linalg import (ExactMatrix, Infeasible, Scalar, kernel_basis, rank,
+                     scalar_from_str, scalar_to_str, solve_or_refute)
 from .suites import run_verify_suite
 from .words import (Alphabet, DseExpansion, Letter, Word, WordLieElement,
                     WordPoly, Zw, act_word, alphabet_from_json,
                     alphabet_to_json, bracket_words, check_iota_action,
-                    check_iota_bracket, check_iota_compat, dse_expand,
-                    iota_h, iota_l, word_coproduct)
+                    check_iota_bracket, dse_expand, iota_h, iota_l,
+                    word_coproduct)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

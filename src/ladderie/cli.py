@@ -44,12 +44,6 @@ def _load_alphabet(path: str) -> words.Alphabet:
         return words.alphabet_from_json(json.load(handle))
 
 
-def _word_poly_payload(poly: words.WordPoly, alphabet) -> list:
-    return [{"word": parsing.format_word(w), "c": scalar_to_str(poly.terms[w]),
-             "alpha_order": alphabet.alpha_degree(w)}
-            for w in sorted(poly.terms, key=lambda w: (len(w), w))]
-
-
 _BRACKETS = {ladder.LieElement: ladder.bracket, glinf.GlElement: glinf.bracket_ee}
 
 
@@ -136,17 +130,21 @@ def _cmd_words_iota(args) -> int:
 
 
 def _cmd_dse_expand(args) -> int:
+    """Each part's terms in family order: as JSON with the alpha order of
+    each word, and as the text line "<coefficient> <word>" joined by " + "."""
     alphabet = _load_alphabet(args.alphabet)
     exp = words.dse_expand(alphabet, args.order)
-    payload = {"order": exp.order,
-               "c": [_word_poly_payload(p, alphabet) for p in exp.c],
-               "d": [_word_poly_payload(p, alphabet) for p in exp.d]}
+    payload = {"order": exp.order}
     lines = []
     for grading, polys in (("c", exp.c), ("d", exp.d)):
+        payload[grading] = []
         for j, poly in enumerate(polys):
-            body = " + ".join("%s %s" % (scalar_to_str(c), parsing.format_word(w))
-                              for w, c in sorted(poly.terms.items()))
-            lines.append("%s[%d] = %s" % (grading, j, body or "0"))
+            items = parsing.element_to_json(poly)
+            for item, (w, _) in zip(items, parsing.family_terms(poly)):
+                item["alpha_order"] = alphabet.alpha_degree(w)
+            payload[grading].append(items)
+            lines.append("%s[%d] = %s" % (grading, j, " + ".join(
+                "%(c)s %(word)s" % item for item in items) or "0"))
     return _emit(args, "value", payload, "\n".join(lines))
 
 

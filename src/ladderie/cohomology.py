@@ -63,13 +63,6 @@ class FiniteLieAlgebra:
             return self.structure.get((i, j), {})
         return {b: -c for b, c in self.structure.get((j, i), {}).items()}
 
-    def bracket_vectors(self, u: dict, v: dict) -> dict:
-        acc: dict = {}
-        for i, cu in u.items():
-            for j, cv in v.items():
-                add_into(acc, self.bracket_basis(i, j), cu * cv)
-        return acc
-
     def _jacobi_failure(self):
         for i, j, k in combinations(range(self.dim), 3):
             acc: dict = {}

@@ -190,8 +190,12 @@ def centralizer_basis(test_set, bound: int, degree_filter=None) -> list:
     rows: dict = {}
     for ti, t in enumerate(test_set):
         for col, (n, m) in enumerate(ansatz):
-            # one ansatz column meets each (test element, coordinate) row once
-            for coord, c in bracket(Z(n, m), t).z.items():
+            # one ansatz column meets each (test element, coordinate) row once;
+            # [Z[n,m], y Y] = -y (n - m) Z[n,m]
+            column = _bracket_z({(n, m): 1}, t.z)
+            if t.y:
+                add_into(column, (((n, m), n - m),), -t.y)
+            for coord, c in column.items():
                 rows.setdefault((ti, coord), {})[col] = c
     basis = []
     for vec in kernel_rows(list(rows.values()), len(ansatz)):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Scalar = int | Fraction
 
@@ -194,18 +194,6 @@ def action_cases(gens, targets, act, bracket, bracket_act=None):
             yield a, b, w, holds
 
 
-def lin_combine(terms: Iterable[tuple]) -> dict:
-    """Exact linear combination of sparse vectors.
-
-    ``terms`` is an iterable of (scalar, vector) pairs over one index set;
-    the result is in canonical form (no zeros stored).
-    """
-    acc: dict = {}
-    for coeff, vec in terms:
-        add_into(acc, vec, exact_scalar(coeff))
-    return acc
-
-
 def fraction_repr(value) -> str:
     """``repr`` of a scalar, or of a dict of scalars, with every value
     written as a Fraction, as element reprs have always shown them."""
@@ -312,15 +300,6 @@ class ExactMatrix:
         self.entries = ent
 
     @classmethod
-    def from_rows(cls, dense_rows: Sequence[Sequence]) -> "ExactMatrix":
-        rows = len(dense_rows)
-        cols = len(dense_rows[0]) if rows else 0
-        if any(len(row) != cols for row in dense_rows):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, (((r, c), v) for r, row in enumerate(dense_rows)
-                                for c, v in enumerate(row)))
-
-    @classmethod
     def _from_canonical(cls, rows: int, cols: int, entries: dict) -> "ExactMatrix":
         """Wrap ``entries`` without copying; the caller guarantees the
         contract (in range, nonzero int or Fraction values)."""
@@ -328,26 +307,10 @@ class ExactMatrix:
         matrix.rows, matrix.cols, matrix.entries = rows, cols, entries
         return matrix
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
     def row_dicts(self) -> list:
         out = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
-        return out
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows,
-                           {(c, r): v for (r, c), v in self.entries.items()})
-
-    def mul_vec(self, vec: Sequence) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("vector length %d != %d columns" % (len(vec), self.cols))
-        out = [0] * self.rows
-        for (r, c), v in self.entries.items():
-            out[r] += v * exact_scalar(vec[c])
         return out
 
     def __eq__(self, other):

@@ -27,7 +27,7 @@ from .glinf import GlElement
 from .ladder import LieElement
 from .ladder_module import MAX_MONOMIAL_DEGREE, LadderPoly
 from .linalg import int_from_json, scalar_from_json, scalar_to_str
-from .words import WordLieElement
+from .words import WordLieElement, WordPoly
 
 
 class ParseError(ValueError):
@@ -304,8 +304,9 @@ def format_word(w) -> str:
 
 
 # Element type -> (JSON list name, key order, text of a key, JSON fields of a
-# key).  A word element's JSON is its bare term list; a Lie element also
-# writes its Y coefficient, first in the text and as "y" in the JSON.
+# key).  A word element's or word polynomial's JSON is its bare term list; a
+# Lie element also writes its Y coefficient, first in the text and as "y" in
+# the JSON.
 _FAMILIES = {
     LieElement: ("z", None, lambda k: "Z[%d,%d]" % k, lambda k: {"n": k[0], "m": k[1]}),
     GlElement: ("e", None, lambda k: "E[%d,%d]" % k, lambda k: {"i": k[0], "j": k[1]}),
@@ -313,30 +314,33 @@ _FAMILIES = {
     LadderPoly: ("terms", lambda m: (len(m), m), format_monomial, lambda m: {"m": list(m)}),
     WordLieElement: (None, None, lambda k: "Z[%s,%s]" % (format_word(k[0]), format_word(k[1])),
                      lambda k: {"w1": format_word(k[0]), "w2": format_word(k[1])}),
+    WordPoly: (None, lambda w: (len(w), w), format_word, lambda w: {"word": format_word(w)}),
 }
+
+
+def family_terms(x) -> list:
+    """The (key, coefficient) pairs of an element of a type in
+    ``_FAMILIES``, in its family's key order."""
+    terms = x.terms
+    return [(k, terms[k]) for k in sorted(terms, key=_FAMILIES[type(x)][1])]
 
 
 def format_element(x) -> str:
     """The text form of an element of a type in ``_FAMILIES``."""
-    _, order, text, _ = _FAMILIES[type(x)]
+    text = _FAMILIES[type(x)][2]
     parts = [(x.y, "Y")] if type(x) is LieElement and x.y else []
-    parts.extend((x.terms[k], text(k)) for k in sorted(x.terms, key=order))
+    parts.extend((c, text(k)) for k, c in family_terms(x))
     return _join_terms(parts)
 
 
 def element_to_json(x):
     """The JSON form of an element of a type in ``_FAMILIES``: its term
     objects, each with its coefficient as "c", under the list name."""
-    name, order, _, fields = _FAMILIES[type(x)]
-    terms = [{**fields(k), "c": scalar_to_str(x.terms[k])} for k in sorted(x.terms, key=order)]
+    name, _, _, fields = _FAMILIES[type(x)]
+    terms = [{**fields(k), "c": scalar_to_str(c)} for k, c in family_terms(x)]
     if name is None:
         return terms
     return {"y": scalar_to_str(x.y), name: terms} if type(x) is LieElement else {name: terms}
-
-
-format_lie_element = format_gl_element = format_c_element = format_ladder_poly = \
-    format_word_element = format_element
-lie_to_json = gl_to_json = c_to_json = ladder_to_json = word_element_to_json = element_to_json
 
 
 def parse_word_element(src: str, alphabet) -> WordLieElement:

@@ -207,11 +207,26 @@ def iota_h(k: int, alphabet: Alphabet) -> WordPoly:
     return WordPoly({w: 1 for w in alphabet.words(k)})
 
 
+#: iota_l refuses an image with more word pairs than this, or longer pairs.
+MAX_IOTA_TERMS = 2 ** 20
+
+
 def iota_l(n: int, m: int, alphabet: Alphabet) -> WordLieElement:
     """Image of Z[n,m]: the average over word generators of augmentation
-    bidegree (n, m), normalized by the count of elimination words."""
+    bidegree (n, m), normalized by the count of elimination words.
+
+    The image has |A|^(n+m) pairs of n + m letters each.  Either count over
+    ``MAX_IOTA_TERMS`` raises ValueError before any word is built; with two
+    or more letters the pair count is compared by its exponent, so a huge n
+    or m costs nothing."""
     if n < 0 or m < 0:
         raise ValueError("negative augmentation degree")
+    size, length = alphabet.size, n + m
+    if length > (MAX_IOTA_TERMS if size == 1 else MAX_IOTA_TERMS.bit_length() - 1) \
+            or size ** length > MAX_IOTA_TERMS:
+        raise ValueError("the image of Z[%d,%d] over %d letters has %d^%d word pairs of %d "
+                         "letters each, more than the limit of %d for either count"
+                         % (n, m, size, size, length, length, MAX_IOTA_TERMS))
     weight = Fraction(1, alphabet.word_count(m))
     return WordLieElement({(w1, w2): weight
                            for w1 in alphabet.words(n)
@@ -260,15 +275,6 @@ def check_iota_bracket(n1: int, m1: int, n2: int, m2: int, k: int,
     if lhs == rhs:
         return IotaReport(True, desc)
     return IotaReport(False, desc, "lhs=%r rhs=%r" % (lhs, rhs))
-
-
-def check_iota_compat(n: int, m: int, k: int, alphabet: Alphabet) -> IotaReport:
-    """Action form for (n, m, k) plus the bracket form for the conjugate
-    pair (n,m),(m,n)."""
-    action = check_iota_action(n, m, k, alphabet)
-    if not action.passed:
-        return action
-    return check_iota_bracket(n, m, m, n, k, alphabet)
 
 
 @dataclass(frozen=True)

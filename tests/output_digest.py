@@ -6,9 +6,11 @@ It runs every request of the benchmark's cli-mix stream for each seed
 (``perfbench/workloads.py``; 960 requests a seed), and ``verify --bound B``
 in text and with ``--json`` for each bound, through ``cli.main`` of the
 package under ``src`` next to this file.  Each response is its exit code,
-stdout and stderr.  It prints one digest per seed and per bound, then one
-over all of them; two trees print the same lines exactly when every
-response is the same.  Run it in each tree and compare the output.  The
+stdout and stderr.  It prints one digest per seed, one per cli-mix request
+kind (over all seeds), one per bound, then one over all of them; two trees
+print the same lines exactly when every response is the same, and a change
+confined to one kind of request changes that kind's line and no other
+kind's.  Run it in each tree and compare the output.  The
 alphabet file goes to a temporary directory under a relative path, so no
 path of this run can reach a response.  pytest does not collect this file.
 """
@@ -40,16 +42,20 @@ def responses(argvs):
         yield code, out.getvalue(), err.getvalue()
 
 
-def digest(argvs, total) -> str:
-    """sha256 of the responses to ``argvs``, also fed to ``total``; with
-    the number of responses."""
+def digest(requests, total, by_kind=None) -> str:
+    """sha256 of the responses to ``requests``, a list of (kind, argv)
+    pairs, with the number of responses.  Each response also goes into
+    ``total`` and, given ``by_kind``, into its kind's [hash, count] entry."""
     part = hashlib.sha256()
     count = 0
-    for response in responses(argvs):
+    for (kind, _), response in zip(requests, responses(argv for _, argv in requests)):
         line = json.dumps(response).encode() + b"\n"
         part.update(line)
         total.update(line)
         count += 1
+        if by_kind is not None:
+            by_kind[kind][0].update(line)
+            by_kind[kind][1] += 1
     return "%s  %d responses" % (part.hexdigest(), count)
 
 
@@ -59,6 +65,7 @@ def main(argv=None) -> int:
     parser.add_argument("--bounds", type=int, nargs="*", default=[1, 2, 3, 4])
     args = parser.parse_args(argv)
     total = hashlib.sha256()
+    by_kind = {kind: [hashlib.sha256(), 0] for kind in workloads.KINDS}
     with tempfile.TemporaryDirectory() as workdir:
         here = os.getcwd()
         os.chdir(workdir)
@@ -66,12 +73,15 @@ def main(argv=None) -> int:
             mix = workloads.CliMix()
             for seed in args.seeds:
                 mix.prepare(seed, os.curdir)
-                print("cli-mix seed %d: %s" % (seed, digest((a for _, a, _ in mix.mix), total)))
+                requests = [(kind, argv) for kind, argv, _ in mix.mix]
+                print("cli-mix seed %d: %s" % (seed, digest(requests, total, by_kind)))
         finally:
             os.chdir(here)
+    for kind, (part, count) in by_kind.items():
+        print("cli-mix kind %s: %s  %d responses" % (kind, part.hexdigest(), count))
     for bound in args.bounds:
-        argvs = (["verify", "--bound", str(bound)] + flag for flag in ([], ["--json"]))
-        print("verify bound %d: %s" % (bound, digest(argvs, total)))
+        requests = [(None, ["verify", "--bound", str(bound)] + flag) for flag in ([], ["--json"])]
+        print("verify bound %d: %s" % (bound, digest(requests, total)))
     print("total: %s" % total.hexdigest())
     return 0
 

@@ -160,6 +160,33 @@ def test_dse_expand(capsys, alphabet_file):
         {"word": "aa", "c": "1", "alpha_order": 2}]
 
 
+def test_dse_expand_lists_terms_by_length_then_word_in_text_and_json(capsys, alphabet_file):
+    """Over {a:1, b:2}, each c[j] and d[j] lists its words in one order,
+    (length, word), as text and as JSON."""
+    code, text, _ = run(capsys, "dse", "expand", "--alphabet", alphabet_file, "--order", "4")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[3] == "c[3] = 1 ab + 1 ba + 1 aaa"
+    code, out, _ = run(capsys, "dse", "expand", "--alphabet", alphabet_file, "--order", "4",
+                       "--json")
+    payload = json.loads(out)["payload"]
+    listed = ["%s[%d] = %s" % (key, j, " + ".join("%s %s" % (t["c"], t["word"]) for t in part))
+              for key in ("c", "d") for j, part in enumerate(payload[key])]
+    assert lines == listed
+    for line in lines:
+        found = line.split(" = ")[1].split(" ")[1::3]
+        assert found == sorted(found, key=lambda w: (len(w.strip("e")), w))
+
+
+def test_words_iota_refuses_an_image_over_the_limit(capsys, alphabet_file):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "words", "iota", "--alphabet", alphabet_file,
+                         "--n", "200", "--m", "200")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "2^400 word pairs" in err
+
+
 def test_missing_alphabet_file(capsys):
     code, _, err = run(capsys, "words", "iota", "--alphabet", "/nonexistent.json",
                        "--n", "0", "--m", "0")

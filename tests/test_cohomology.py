@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from helpers import bracket_vectors, from_rows
 from ladderie.cohomology import (MAX_COCHAINS, FiniteLieAlgebra,
                                  abelian_algebra, betti_numbers,
                                  ce_differential, h1_degree_functional,
@@ -80,7 +81,7 @@ def _base_change(algebra, matrix_rows):
     """Conjugate the structure constants by an invertible integer matrix;
     the result is an isomorphic algebra with messier constants."""
     n = algebra.dim
-    p = ExactMatrix.from_rows(matrix_rows)
+    p = from_rows(matrix_rows)
     cols = [[p.entries.get((r, c), F(0)) for r in range(n)] for c in range(n)]
     from ladderie.linalg import solve_or_refute
 
@@ -94,7 +95,7 @@ def _base_change(algebra, matrix_rows):
         for j in range(i + 1, n):
             u = {r: cols[i][r] for r in range(n) if cols[i][r]}
             v = {r: cols[j][r] for r in range(n) if cols[j][r]}
-            br = algebra.bracket_vectors(u, v)
+            br = bracket_vectors(algebra, u, v)
             dense = [br.get(r, F(0)) for r in range(n)]
             new = to_new_coords(dense)
             vec = {b: c for b, c in enumerate(new) if c}

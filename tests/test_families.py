@@ -24,10 +24,10 @@ from ladderie.words import WordLieElement, WordPoly, Zw
     (t(0) * t(1) * t(1) + 3 * LadderPoly.one(), "3 + t[0]*t[1]^2"),
     (Zw("a", "") - 2 * Zw("", "ab"), "-2*Z[e,ab] + Z[a,e]"),
     (TensorPoly({((0,), (1,)): 2}), "TensorPoly({((0,), (1,)): Fraction(2, 1)})"),
-    (WordPoly({"a": F(1, 2)}), "WordPoly({('a',): Fraction(1, 2)})"),
+    (WordPoly({"ba": -1, "a": F(1, 2), "": 2, "b": 3}), "2*e + 1/2*a + 3*b - ba"),
 ])
 def test_str_of_every_element_class(elem, text):
-    """The five families print their text form; a type outside the table
+    """The six families print their text form; a type outside the table
     prints its repr."""
     assert str(elem) == text
     if type(elem) in parsing._FAMILIES:
@@ -36,15 +36,17 @@ def test_str_of_every_element_class(elem, text):
         assert text == repr(elem)
 
 
-@pytest.mark.parametrize("old, new", [
-    ("format_lie_element", "format_element"), ("format_gl_element", "format_element"),
-    ("format_c_element", "format_element"), ("format_ladder_poly", "format_element"),
-    ("format_word_element", "format_element"), ("lie_to_json", "element_to_json"),
-    ("gl_to_json", "element_to_json"), ("c_to_json", "element_to_json"),
-    ("ladder_to_json", "element_to_json"), ("word_element_to_json", "element_to_json"),
-])
-def test_old_writer_names_are_the_two_writers(old, new):
-    assert getattr(parsing, old) is getattr(parsing, new)
+def test_word_poly_text_and_json_list_terms_by_length_then_word():
+    rng = random.Random(7)
+    words = ["", "a", "b", "ab", "ba", "aab", "bb"]
+    for _ in range(50):
+        poly = WordPoly((rng.choice(words), F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)))
+                        for _ in range(rng.randrange(8)))
+        terms = element_to_json(poly)
+        listed = [term["word"] for term in terms]
+        assert listed == ["".join(w) or "e" for w in sorted(poly.terms, key=lambda w: (len(w), w))]
+        assert re.findall(r"\b[abe]+\b", format_element(poly)) == listed
+        assert WordPoly((term["word"].strip("e"), F(term["c"])) for term in terms) == poly
 
 
 def test_word_element_json_lists_the_text_terms_in_order():
@@ -129,7 +131,8 @@ def test_writing_a_fraction_element_makes_no_fraction():
              GlElement({k: coeff() for k in pairs}),
              CElement({d: coeff() for d in range(-15, 15)}),
              LadderPoly({(i, j, j): coeff() for i, j in pairs}),
-             WordLieElement({("a" * i, "b" * j): coeff() for i, j in pairs})]
+             WordLieElement({("a" * i, "b" * j): coeff() for i, j in pairs}),
+             WordPoly({"a" * i + "b" * j: coeff() for i, j in pairs})]
     assert all(len(x.terms) == 30 for x in elems)
     assert any(type(c) is F and c.denominator == 1 for x in elems for c in x.terms.values())
     assert _fractions_made(lambda: [(format_element(x), element_to_json(x))

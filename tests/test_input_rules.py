@@ -38,15 +38,15 @@ _COEFF = st.builds(F, st.integers(-20, 20).filter(bool), st.integers(1, 6))
 _INDEX = st.integers(0, 4)
 _ELEMENTS = st.one_of(
     st.builds(LieElement, st.dictionaries(st.tuples(_INDEX, _INDEX), _COEFF, max_size=4),
-              _COEFF | st.just(F(0))).map(lambda e: (e, parsing.format_lie_element,
+              _COEFF | st.just(F(0))).map(lambda e: (e, parsing.format_element,
                                                       parsing.parse_lie_element)),
     st.builds(GlElement, st.dictionaries(st.tuples(_INDEX, _INDEX), _COEFF, max_size=4))
-    .map(lambda g: (g, parsing.format_gl_element, parsing.parse_gl_element)),
+    .map(lambda g: (g, parsing.format_element, parsing.parse_gl_element)),
     st.builds(CElement, st.dictionaries(st.integers(-4, 4), _COEFF, max_size=4))
-    .map(lambda x: (x, parsing.format_c_element, parsing.parse_c_element)),
+    .map(lambda x: (x, parsing.format_element, parsing.parse_c_element)),
     st.builds(LadderPoly, st.dictionaries(st.lists(_INDEX, max_size=3).map(tuple), _COEFF,
                                           max_size=4))
-    .map(lambda p: (p, parsing.format_ladder_poly, parsing.parse_ladder_poly)),
+    .map(lambda p: (p, parsing.format_element, parsing.parse_ladder_poly)),
 )
 
 

@@ -153,4 +153,4 @@ def test_the_degree_limit_itself_is_admitted():
     limit = ladder_module.MAX_MONOMIAL_DEGREE
     p = LadderPoly({(0,) * (limit - 1): 1}) * t(3)
     assert parsing.parse_ladder_poly("t[0]^%d*t[3]" % (limit - 1)) == p
-    assert parsing.ladder_from_json(parsing.ladder_to_json(p)) == p
+    assert parsing.ladder_from_json(parsing.element_to_json(p)) == p

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ladderie import extension, glinf, ladder, suites, words
 from ladderie.linalg import add_into, bilinear, commutator
-from ladderie.parsing import format_word_element, parse_word_element
+from ladderie.parsing import format_element, parse_word_element
 
 
 def theta(k):
@@ -297,4 +297,4 @@ _COEFF = st.fractions(max_denominator=6).filter(lambda c: abs(c.numerator) < 50)
 def test_word_element_text_round_trip(terms):
     alphabet = words.Alphabet([words.Letter(name, 1) for name in _LETTERS])
     x = words.WordLieElement(terms)
-    assert parse_word_element(format_word_element(x), alphabet) == x
+    assert parse_word_element(format_element(x), alphabet) == x

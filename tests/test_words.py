@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
+from ladderie import ladder, ladder_module, words
 from ladderie.words import (Alphabet, Letter, WordPoly, Zw,
                             act_on_word, act_word, alphabet_from_json,
                             alphabet_to_json, bracket_words, check_iota_action,
-                            check_iota_bracket, check_iota_compat, iota_h,
+                            check_iota_bracket, generator_bracket_words, iota_h,
                             iota_l, word_coproduct, word_poly_coproduct)
 
 P = ("p",)
@@ -125,8 +126,10 @@ def test_iota_l_examples():
 
 
 def test_iota_compat_examples():
-    assert check_iota_compat(1, 1, 2, one_letter()).passed
-    assert check_iota_compat(2, 3, 1, two_letters()).passed  # both sides zero
+    assert check_iota_action(1, 1, 2, one_letter()).passed
+    assert check_iota_bracket(1, 1, 1, 1, 2, one_letter()).passed
+    assert check_iota_action(2, 3, 1, two_letters()).passed  # both sides zero
+    assert check_iota_bracket(2, 3, 3, 2, 1, two_letters()).passed
     report = check_iota_action(1, 0, 0, two_letters())
     assert report.passed
     assert act_word(iota_l(1, 0, two_letters()), iota_h(0, two_letters())) == \
@@ -137,7 +140,7 @@ def test_iota_compat_window():
     for alphabet in (one_letter(), two_letters()):
         for n, m, k in product(range(3), repeat=3):
             assert check_iota_action(n, m, k, alphabet).passed
-            assert check_iota_compat(n, m, k, alphabet).passed
+            assert check_iota_bracket(n, m, m, n, k, alphabet).passed
 
 
 def test_iota_bracket_spot():
@@ -183,3 +186,45 @@ def test_negative_degrees_rejected():
         iota_h(-1, two_letters())
     with pytest.raises(ValueError):
         iota_l(0, -1, two_letters())
+
+
+def test_word_kernels_over_one_letter_are_the_ladder_kernels():
+    """Over one letter, with the word a^n for the index n, the word
+    generator bracket is the ladder generator bracket and the prefix
+    replacement is the ladder action on t[k]."""
+    def word(n):
+        return ("a",) * n
+
+    for n, m, l, s in product(range(7), repeat=4):
+        got = generator_bracket_words(word(n), word(m), word(l), word(s))
+        assert {(len(w1), len(w2)): c for (w1, w2), c in got.items()} == \
+            ladder.generator_bracket(n, m, l, s)
+    for n, m, k in product(range(9), repeat=3):
+        out = act_on_word(word(n), word(m), word(k))
+        assert (None if out is None else len(out)) == ladder_module.act_generator(n, m, k)
+
+
+@pytest.mark.parametrize("n, m", [(10, 11), (11, 10), (200, 200), (10 ** 12, 1)])
+def test_iota_l_refuses_an_image_over_the_limit_before_building_a_word(n, m, monkeypatch):
+    def no_words(self, aug_degree):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(Alphabet, "words", no_words)
+    with pytest.raises(ValueError, match="more than the limit of 1048576"):
+        iota_l(n, m, two_letters())
+    with pytest.raises(ValueError, match="more than the limit"):
+        iota_l(n + words.MAX_IOTA_TERMS, m, one_letter())
+
+
+def test_iota_l_builds_the_largest_admitted_images(monkeypatch):
+    """At the limit itself: one pair of 2^20 letters over one letter; and,
+    under a limit of 2^6, the 2^6 pairs of Z[3,3] over two letters."""
+    assert words.MAX_IOTA_TERMS == 2 ** 20
+    image = iota_l(2 ** 19, 2 ** 19, one_letter())
+    assert [(len(w1), len(w2)) for w1, w2 in image.terms] == [(2 ** 19, 2 ** 19)]
+    monkeypatch.setattr(words, "MAX_IOTA_TERMS", 2 ** 6)
+    assert len(iota_l(3, 3, two_letters()).terms) == 2 ** 6
+    with pytest.raises(ValueError):
+        iota_l(3, 4, two_letters())
+    with pytest.raises(ValueError):
+        iota_l(2 ** 6, 1, one_letter())
