@@ -23,15 +23,19 @@ def _read_expr(text: str) -> str:
     return sys.stdin.read() if text == "-" else text
 
 
-def _emit(args, status: str, payload, text: str) -> int:
+def _emit(args, status: str, payload, text) -> int:
+    """Print ``payload`` as JSON under ``--json``, else ``text``; either may
+    be a function of no arguments, called only if its form is printed."""
     if args.json:
+        payload = payload() if callable(payload) else payload
         text = json.dumps({"schema": 1, "status": status, "payload": payload}, sort_keys=True)
-    print(text)
+    print(text() if callable(text) else text)
     return 0 if status != "fail" else 1
 
 
 def _value(args, elem) -> int:
-    return _emit(args, "value", parsing.element_to_json(elem), parsing.format_element(elem))
+    return _emit(args, "value", lambda: parsing.element_to_json(elem),
+                 lambda: parsing.format_element(elem))
 
 
 def _unary(parse, op):
@@ -67,11 +71,10 @@ def _cmd_decompose(args) -> int:
     dec = ladder.decompose_generator(args.n, args.m)
     parts = {"left": dec.left, "right": dec.right, "tail": dec.tail,
              "evaluates_to": dec.evaluate()}
-    text = {key: parsing.format_element(e) for key, e in parts.items()}
-    return _emit(args, "value", {key: parsing.element_to_json(e) for key, e in parts.items()},
-                 "[%(left)s, %(right)s]" % text
-                 + ("" if dec.tail.is_zero() else " + (%(tail)s)" % text)
-                 + " = %(evaluates_to)s" % text)
+    text = ("[%(left)s, %(right)s]" + ("" if dec.tail.is_zero() else " + (%(tail)s)")
+            + " = %(evaluates_to)s")
+    return _emit(args, "value", lambda: {k: parsing.element_to_json(e) for k, e in parts.items()},
+                 lambda: text % {k: parsing.format_element(e) for k, e in parts.items()})
 
 
 def _cmd_act(args) -> int:
@@ -84,8 +87,8 @@ def _cmd_to_e(args) -> int:
     g = glinf.express_in_e(e)
     if g is None:
         return _emit(args, "value", {"in_ideal": False}, "not-in-ideal")
-    payload = {"in_ideal": True, **parsing.element_to_json(g)}
-    return _emit(args, "value", payload, parsing.format_element(g))
+    return _emit(args, "value", lambda: {"in_ideal": True, **parsing.element_to_json(g)},
+                 lambda: parsing.format_element(g))
 
 
 def _cmd_extension_verify(args) -> int:
@@ -102,9 +105,10 @@ def _cmd_extension_obstruct(args) -> int:
     b_plus = parsing.parse_gl_element(_read_expr(args.bplus))
     b_minus = parsing.parse_gl_element(_read_expr(args.bminus))
     r = extension.nonsplit_obstruction(b_plus, b_minus)
-    payload = {"obstruction": parsing.element_to_json(r), "nonzero": not r.is_zero()}
-    return _emit(args, "value", payload, "%s (%s)" % (
-        parsing.format_element(r), "nonzero" if payload["nonzero"] else "ZERO"))
+    return _emit(args, "value",
+                 lambda: {"obstruction": parsing.element_to_json(r), "nonzero": not r.is_zero()},
+                 lambda: "%s (%s)" % (parsing.format_element(r),
+                                      "ZERO" if r.is_zero() else "nonzero"))
 
 
 def _cmd_extension_infeasible(args) -> int:
@@ -134,18 +138,19 @@ def _cmd_dse_expand(args) -> int:
     each word, and as the text line "<coefficient> <word>" joined by " + "."""
     alphabet = _load_alphabet(args.alphabet)
     exp = words.dse_expand(alphabet, args.order)
-    payload = {"order": exp.order}
-    lines = []
-    for grading, polys in (("c", exp.c), ("d", exp.d)):
-        payload[grading] = []
-        for j, poly in enumerate(polys):
-            items = parsing.element_to_json(poly)
-            for item, (w, _) in zip(items, parsing.family_terms(poly)):
-                item["alpha_order"] = alphabet.alpha_degree(w)
-            payload[grading].append(items)
-            lines.append("%s[%d] = %s" % (grading, j, " + ".join(
-                "%(c)s %(word)s" % item for item in items) or "0"))
-    return _emit(args, "value", payload, "\n".join(lines))
+    parts = [(grading, j, poly) for grading, polys in (("c", exp.c), ("d", exp.d))
+             for j, poly in enumerate(polys)]
+    if not args.json:
+        return _emit(args, "value", None, "\n".join("%s[%d] = %s" % (grading, j, " + ".join(
+            "%s %s" % (scalar_to_str(c), parsing.format_word(w))
+            for w, c in parsing.family_terms(poly)) or "0") for grading, j, poly in parts))
+    payload = {"order": exp.order, "c": [], "d": []}
+    for grading, _, poly in parts:
+        items = parsing.element_to_json(poly)
+        for item, (w, _) in zip(items, parsing.family_terms(poly)):
+            item["alpha_order"] = alphabet.alpha_degree(w)
+        payload[grading].append(items)
+    return _emit(args, "value", payload, None)
 
 
 def _cmd_cohomology_betti(args) -> int:

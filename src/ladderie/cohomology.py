@@ -14,7 +14,6 @@ algebra over a finite index window.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -95,30 +94,35 @@ def abelian_algebra(dim: int) -> FiniteLieAlgebra:
 
 def ce_differential(algebra: FiniteLieAlgebra, k: int) -> ExactMatrix:
     """Matrix of d from k-cochains to (k+1)-cochains in the increasing
-    multi-index bases (rows: (k+1)-subsets, columns: k-subsets)."""
+    multi-index bases (rows: (k+1)-subsets, columns: k-subsets).
+
+    A subset is also carried as the int bitmask of its members: removing
+    x_p and x_q is two xors, and the sign of inserting b into the rest is
+    the parity of the members below b, a popcount."""
     n = algebra.dim
     if not 0 <= k <= n:
         raise ValueError("cochain degree %s out of range" % (k,))
     pairs = [(p, q, -1 if (p + q) % 2 else 1)
              for p in range(k + 1) for q in range(p + 1, k + 1)]
-    cols = {S: c for c, S in enumerate(combinations(range(n), k))}
-    rows = list(combinations(range(n), k + 1))
+    bits = [1 << i for i in range(n)]
+    cols = {sum(map(bits.__getitem__, S)): c for c, S in enumerate(combinations(range(n), k))}
     entries: dict = {}
-    for r, S in enumerate(rows):
+    for r, S in enumerate(combinations(range(n), k + 1)):
+        mask = sum(map(bits.__getitem__, S))
         for p, q, sign_pq in pairs:
             br = algebra.structure.get((S[p], S[q]))
             if br is None:
                 continue
-            rest = S[:p] + S[p + 1:q] + S[q + 1:]
+            rest = mask ^ bits[S[p]] ^ bits[S[q]]
             for b, c in br.items():
-                pos = bisect_left(rest, b)
-                if pos < len(rest) and rest[pos] == b:
+                bit = bits[b]
+                if rest & bit:
                     continue
-                key = (r, cols[rest[:pos] + (b,) + rest[pos:]])
-                sgn = -sign_pq if pos % 2 else sign_pq
+                key = (r, cols[rest | bit])
+                sgn = -sign_pq if (rest & (bit - 1)).bit_count() % 2 else sign_pq
                 entries[key] = entries.get(key, 0) + sgn * c
     return ExactMatrix._from_canonical(
-        len(rows), comb(n, k), {key: v for key, v in entries.items() if v})
+        comb(n, k + 1), comb(n, k), {key: v for key, v in entries.items() if v})
 
 
 @dataclass(frozen=True)

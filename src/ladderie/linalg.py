@@ -12,17 +12,18 @@ equality of vectors, and iteration in sorted key order is the canonical
 order.  ``add_into`` is the one loop that accumulates them, and
 ``SparseElement`` the one base of the element classes built on them.
 
-``rank`` runs fraction-free sparse elimination on primitive integer rows
-(after Bareiss, 1968) and creates no ``Fraction``.  The sparse rational RREF
-``_rref`` serves everything that returns vectors: kernel bases, solutions
-and Farkas witnesses, whose normalization it fixes; it is also the reference
-that ``rank`` is tested against.  Division is always exact: two ints divide
+``rank`` runs fraction-free sparse elimination on integer vectors along the
+shorter side (after Bareiss, 1968) and creates no ``Fraction``.  The sparse
+rational RREF ``_rref`` serves everything that returns vectors: kernel bases,
+solutions and Farkas witnesses, whose normalization it fixes; it is also the
+reference that ``rank`` is tested against.  Division is always exact: two ints divide
 into a Fraction, never a float.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -366,20 +367,29 @@ def _rref(row_dicts: Sequence[Mapping], exclude=frozenset(), track=False):
 def rank(matrix: ExactMatrix) -> int:
     """Exact rank over the rationals, by fraction-free elimination.
 
-    Each row becomes a primitive integer vector and is reduced against the
-    pivot rows found so far on its leading column, cross-multiplied by the
-    gcd-reduced pivot factors; a row that survives is divided by its content
-    and becomes the pivot row of its leading column.
+    The vectors are the rows, or the columns when there are fewer of them.
+    To cut fill, the other index is renumbered by ascending nonzero count
+    (ties by index), so a vector leads with its sparsest coordinate, and the
+    shortest vectors go first.  Each is scaled to integers and reduced
+    against the pivots found so far on its leading coordinate,
+    cross-multiplied by the gcd-reduced pivot factors; a vector that survives
+    is divided by its content and becomes the pivot of that coordinate.
     """
+    side = int(matrix.cols < matrix.rows)
+    count = Counter(key[1 - side] for key in matrix.entries)
+    order = {j: pos for pos, j in enumerate(sorted(count, key=lambda j: (count[j], j)))}
+    vectors = defaultdict(dict)
+    for key, v in matrix.entries.items():
+        vectors[key[side]][order[key[1 - side]]] = v
+    queue = sorted(vectors.values(), key=len, reverse=True)
+    del vectors  # each vector is dropped once it has been reduced
+    ints = all(type(v) is int for v in matrix.entries.values())
     pivots: dict = {}
-    for row in matrix.row_dicts():
-        if not row:
-            continue
-        # lowest-terms entries: the scaled row's content is the numerators' gcd
-        scale = lcm(*(v.denominator for v in row.values()))
-        content = gcd(*(v.numerator for v in row.values()))
-        row = {c: v.numerator // content * (scale // v.denominator)
-               for c, v in row.items()}
+    while queue:
+        row = queue.pop()
+        if not ints:
+            scale = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
         while row:
             lead = min(row)
             prow = pivots.get(lead)

@@ -5,6 +5,10 @@ pair at a time, so it needs none of these; the tests use them to write
 small fixtures and to check results.  pytest does not collect this file.
 """
 
+from bisect import bisect_left
+from itertools import combinations
+from math import comb
+
 from ladderie.linalg import ExactMatrix, add_into, exact_scalar
 
 
@@ -44,3 +48,32 @@ def bracket_vectors(algebra, u: dict, v: dict) -> dict:
         for j, cv in v.items():
             add_into(acc, algebra.bracket_basis(i, j), cu * cv)
     return acc
+
+
+def reference_ce_differential(algebra, k: int) -> ExactMatrix:
+    """``cohomology.ce_differential`` on tuple subsets: each term removes
+    x_p and x_q by slicing and finds where b goes by bisection.  The same
+    matrix, with the same value types and the same entry order."""
+    n = algebra.dim
+    if not 0 <= k <= n:
+        raise ValueError("cochain degree %s out of range" % (k,))
+    pairs = [(p, q, -1 if (p + q) % 2 else 1)
+             for p in range(k + 1) for q in range(p + 1, k + 1)]
+    cols = {S: c for c, S in enumerate(combinations(range(n), k))}
+    rows = list(combinations(range(n), k + 1))
+    entries: dict = {}
+    for r, S in enumerate(rows):
+        for p, q, sign_pq in pairs:
+            br = algebra.structure.get((S[p], S[q]))
+            if br is None:
+                continue
+            rest = S[:p] + S[p + 1:q] + S[q + 1:]
+            for b, c in br.items():
+                pos = bisect_left(rest, b)
+                if pos < len(rest) and rest[pos] == b:
+                    continue
+                key = (r, cols[rest[:pos] + (b,) + rest[pos:]])
+                sgn = -sign_pq if pos % 2 else sign_pq
+                entries[key] = entries.get(key, 0) + sgn * c
+    return ExactMatrix._from_canonical(
+        len(rows), comb(n, k), {key: v for key, v in entries.items() if v})

@@ -294,6 +294,26 @@ def test_oversized_windows_are_refused_before_any_work(capsys, monkeypatch, argv
     assert err.count("\n") == 1 and message in err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "Z[1,0]", "Z[0,1]"], ["from-e", "E[0,1]"], ["to-e", "Z[1,1] - Z[0,0]"],
+    ["decompose", "2", "1"], ["extension", "obstruct", "--bplus=E[1,0]", "--bminus=0"],
+    ["dse", "expand", "--order", "3", "--alphabet"],
+], ids=["bracket", "from-e", "to-e", "decompose", "obstruct", "dse-expand"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_only_the_requested_form_is_rendered(capsys, monkeypatch, alphabet_file, argv, as_json):
+    from ladderie import parsing
+
+    def not_asked_for(*args):
+        raise AssertionError("rendered a form that was not asked for")
+
+    monkeypatch.setattr(parsing, "format_element" if as_json else "element_to_json",
+                        not_asked_for)
+    argv = argv + [alphabet_file] * (argv[-1] == "--alphabet") + ["--json"] * as_json
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip()
+
+
 def test_the_size_limits_admit_every_bound_verify_accepts():
     """`verify --bound 15`, the largest it accepts, runs ext.cocycle_conditions
     and cohomology.h1 at its bound, and ext.splitting_infeasible at 20 levels."""

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from helpers import bracket_vectors, from_rows
+from helpers import bracket_vectors, from_rows, reference_ce_differential, transpose
 from ladderie.cohomology import (MAX_COCHAINS, FiniteLieAlgebra,
                                  abelian_algebra, betti_numbers,
                                  ce_differential, h1_degree_functional,
@@ -178,11 +178,14 @@ def test_rank_matches_rref_on_gl3_differentials():
         assert rank(m) == len(_rref(m.row_dicts())[1])
 
 
-def test_ce_differential_of_half_scaled_gl2():
+def _half_scaled_gl2():
     g2 = truncate_gl(2)
-    half = FiniteLieAlgebra(g2.basis_labels,
-                            {key: {b: F(c, 2) for b, c in vec.items()}
-                             for key, vec in g2.structure.items()})
+    return FiniteLieAlgebra(g2.basis_labels, {key: {b: F(c, 2) for b, c in vec.items()}
+                                              for key, vec in g2.structure.items()})
+
+
+def test_ce_differential_of_half_scaled_gl2():
+    g2, half = truncate_gl(2), _half_scaled_gl2()
     for k in range(half.dim + 1):
         scaled, plain = ce_differential(half, k), ce_differential(g2, k)
         assert (scaled.rows, scaled.cols) == (plain.rows, plain.cols)
@@ -204,3 +207,33 @@ def test_betti_refuses_more_than_max_cochains():
     assert MAX_COCHAINS == 2 ** 20
     with pytest.raises(ValueError, match="2097152 cochains"):
         betti_numbers(abelian_algebra(21))
+
+
+@pytest.mark.parametrize("algebra", [
+    truncate_gl(1), truncate_gl(2), truncate_gl(3), truncate_gl(4), _half_scaled_gl2(),
+    FiniteLieAlgebra(["x", "y", "z"], {(0, 1): {2: 1}}), abelian_algebra(5),
+], ids=["gl1", "gl2", "gl3", "gl4", "half-gl2", "heisenberg", "abelian5"])
+def test_ce_differential_matches_the_tuple_reference(algebra):
+    for k in range(algebra.dim + 1):
+        got, ref = ce_differential(algebra, k), reference_ce_differential(algebra, k)
+        assert (got.rows, got.cols) == (ref.rows, ref.cols)
+        assert list(got.entries.items()) == list(ref.entries.items())
+        assert [type(v) for v in got.entries.values()] == [type(v) for v in ref.entries.values()]
+
+
+def test_rank_agrees_on_both_sides_and_with_rref_on_ce_differentials():
+    """``rank`` eliminates along the shorter side, so a matrix and its
+    transpose run both orientations; the ``_rref`` reference runs on the
+    side with fewer rows, where it is quicker."""
+    for algebra, degrees in ((truncate_gl(3), range(10)), (truncate_gl(4), range(6))):
+        for k in degrees:
+            m = ce_differential(algebra, k)
+            t = transpose(m)
+            shorter = m if m.rows <= m.cols else t
+            assert rank(m) == rank(t) == len(_rref(shorter.row_dicts())[1])
+
+
+def test_poincare_duality_of_the_gl_betti_tables():
+    for n in range(1, 5):
+        betti = betti_numbers(truncate_gl(n)).betti
+        assert betti == betti[::-1]

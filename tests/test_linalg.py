@@ -258,3 +258,18 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rank_matches_rref_reference(m):
     assert rank(m) == len(_rref(m.row_dicts())[1])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 8), st.integers(0, 8), st.data())
+def test_rank_with_a_zero_row_a_zero_column_and_mixed_scalars(rows, cols, data):
+    """Entries mix ints and Fractions (some with denominator 1); one row
+    and one column are all zero.  Both orientations agree with ``_rref``."""
+    scalars = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5),
+                        st.integers(-4, 4).map(F))
+    zero_row, zero_col = data.draw(st.integers(0, rows)), data.draw(st.integers(0, cols))
+    entries = {(r, c): data.draw(scalars)
+               for r in range(rows + 1) for c in range(cols + 1)
+               if r != zero_row and c != zero_col}
+    m = ExactMatrix(rows + 1, cols + 1, entries)
+    assert rank(m) == rank(transpose(m)) == len(_rref(m.row_dicts())[1])
