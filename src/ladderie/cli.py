@@ -138,19 +138,18 @@ def _cmd_dse_expand(args) -> int:
     each word, and as the text line "<coefficient> <word>" joined by " + "."""
     alphabet = _load_alphabet(args.alphabet)
     exp = words.dse_expand(alphabet, args.order)
-    parts = [(grading, j, poly) for grading, polys in (("c", exp.c), ("d", exp.d))
-             for j, poly in enumerate(polys)]
-    if not args.json:
-        return _emit(args, "value", None, "\n".join("%s[%d] = %s" % (grading, j, " + ".join(
-            "%s %s" % (scalar_to_str(c), parsing.format_word(w))
-            for w, c in parsing.family_terms(poly)) or "0") for grading, j, poly in parts))
-    payload = {"order": exp.order, "c": [], "d": []}
-    for grading, _, poly in parts:
-        items = parsing.element_to_json(poly)
-        for item, (w, _) in zip(items, parsing.family_terms(poly)):
-            item["alpha_order"] = alphabet.alpha_degree(w)
-        payload[grading].append(items)
-    return _emit(args, "value", payload, None)
+    payload = {"order": exp.order}
+    lines = []
+    for grading, polys in (("c", exp.c), ("d", exp.d)):
+        payload[grading] = []
+        for j, poly in enumerate(polys):
+            items = parsing.element_to_json(poly)
+            for item, (w, _) in zip(items, parsing.family_terms(poly)):
+                item["alpha_order"] = alphabet.alpha_degree(w)
+            payload[grading].append(items)
+            lines.append("%s[%d] = %s" % (grading, j, " + ".join(
+                "%(c)s %(word)s" % item for item in items) or "0"))
+    return _emit(args, "value", payload, "\n".join(lines))
 
 
 def _cmd_cohomology_betti(args) -> int:
