@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
+from math import lcm
 
 from . import cohomology, extension, glinf, ladder, ladder_module, words
 from .linalg import Infeasible, action_cases, add_into, matmul
@@ -426,17 +427,35 @@ def check_words_iota_action(bound):
 
 def _iota_bracket_suspects(alphabet, top):
     """The cases (n1, m1, n2, m2, k) failing ``words.check_iota_bracket`` on
-    images cached per alphabet, in order; from a ValueError on, every case."""
+    images cached per alphabet, in order; from a ValueError on, every case.
+    Both sides are scaled by the lcms of the two ``iota_l`` images, so the
+    word bracket is taken once, on ints; its terms, grouped by elimination
+    word, act on each word of ``iota_h(k)`` through the word's prefixes."""
     cases = list(product(range(top + 1), repeat=5))
-    iota_l, iota_h, image = (functools.cache(functools.partial(f, alphabet=alphabet))
-                             for f in (words.iota_l, words.iota_h, words.ladder_action_image))
+    iota_h, image = (functools.cache(functools.partial(f, alphabet=alphabet))
+                     for f in (words.iota_h, words.ladder_action_image))
+
+    @functools.cache
+    def iota_l(n, m):
+        terms = words.iota_l(n, m, alphabet).terms
+        den = lcm(*(c.denominator for c in terms.values()))
+        return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
+
     try:
         for at, (n1, m1, n2, m2, k) in enumerate(cases):
             if not k:
                 br = ladder.generator_bracket(n1, m1, n2, m2)
-                wb = words.bracket_words(iota_l(n1, m1), iota_l(n2, m2))
-            lhs = sum((c * image(a, b, k) for (a, b), c in br.items()), words.WordPoly())
-            if lhs != words.act_word(wb, iota_h(k)):
+                (ta, da), (tb, db) = iota_l(n1, m1), iota_l(n2, m2)
+                by_w2 = {}
+                for (w1, w2), c in words._bracket_w(ta, tb).items():
+                    by_w2.setdefault(w2, []).append((w1, c))
+            acc = {}
+            for (a, b), c in br.items():
+                add_into(acc, image(a, b, k).terms, -c * da * db)
+            for w, cw in iota_h(k).terms.items():
+                for j in range(len(w) + 1):
+                    add_into(acc, ((w1 + w[j:], c * cw) for w1, c in by_w2.get(w[:j], ())))
+            if acc:
                 yield cases[at]
     except ValueError:
         yield from cases[at:]

@@ -87,12 +87,6 @@ class Alphabet:
     def alpha_degree(self, word: Word) -> int:
         return sum(self._by_name[name].degree for name in word)
 
-    def sym_weight(self, word: Word) -> Fraction:
-        out = Fraction(1)
-        for name in word:
-            out /= self._by_name[name].sym
-        return out
-
 
 def alphabet_from_json(obj) -> Alphabet:
     """Load {"letters": [{"name", "degree", "sym"}, ...]}.
@@ -150,12 +144,19 @@ def act_on_word(w1: Word, w2: Word, w: Word):
 
 def _act_w(tg: dict, tp: dict) -> dict:
     """Action of the generator combination ``tg`` on the word combination
-    ``tp``, as dicts; int coefficients give int results."""
-    return add_into({}, (
-        (out, cg * cw)
-        for (w1, w2), cg in tg.items()
-        for w, cw in tp.items()
-        if (out := act_on_word(w1, w2, w)) is not None))
+    ``tp``, as dicts; int coefficients give int results.  ``act_on_word``
+    and ``add_into`` are inline: most pairs miss, and a call costs more."""
+    acc: dict = {}
+    for (w1, w2), cg in tg.items():
+        k = len(w2)
+        for w, cw in tp.items():
+            if w[:k] == w2 and (value := cg * cw):
+                out = w1 + w[k:]
+                if (old := acc.get(out)) is not None and not (value := value + old):
+                    del acc[out]
+                else:
+                    acc[out] = value
+    return acc
 
 
 def act_word(g: WordLieElement, p: WordPoly) -> WordPoly:

@@ -1,4 +1,5 @@
-"""Dense-matrix and structure-constant helpers that only the tests use.
+"""Dense-matrix and structure-constant helpers, and reference kernels, that
+only the tests use.
 
 The library builds every matrix sparsely and brackets basis vectors one
 pair at a time, so it needs none of these; the tests use them to write
@@ -10,6 +11,7 @@ from itertools import combinations
 from math import comb
 
 from ladderie.linalg import ExactMatrix, add_into, exact_scalar
+from ladderie.words import act_on_word
 
 
 def from_rows(dense_rows) -> ExactMatrix:
@@ -77,3 +79,13 @@ def reference_ce_differential(algebra, k: int) -> ExactMatrix:
                 entries[key] = entries.get(key, 0) + sgn * c
     return ExactMatrix._from_canonical(
         len(rows), comb(n, k), {key: v for key, v in entries.items() if v})
+
+
+def reference_act_w(tg: dict, tp: dict) -> dict:
+    """``words._act_w`` as ``add_into`` over one ``act_on_word`` call per
+    (generator, word) pair: the same dict, items, order and value types."""
+    return add_into({}, (
+        (out, cg * cw)
+        for (w1, w2), cg in tg.items()
+        for w, cw in tp.items()
+        if (out := act_on_word(w1, w2, w)) is not None))

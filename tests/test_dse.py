@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -48,10 +49,11 @@ def test_gradings_partition_the_support():
     c_support = {w for poly in exp.c for w in poly.terms}
     d_support = {w for poly in exp.d for w in poly.terms}
     assert c_support == d_support
+    sym = {letter.name: letter.sym for letter in alphabet}
     for j, poly in enumerate(exp.c):
         for w, coeff in poly.terms.items():
             assert alphabet.alpha_degree(w) == j
-            assert coeff == alphabet.sym_weight(w)
+            assert coeff == F(1, prod(sym[name] for name in w))
     for j, poly in enumerate(exp.d):
         for w in poly.terms:
             assert len(w) == j

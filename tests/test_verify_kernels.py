@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_act_w
 from ladderie import extension, glinf, ladder, ladder_module, linalg, suites, words
 from ladderie.extension import CocycleReport
 from ladderie.ladder_module import ActionReport
@@ -257,15 +258,62 @@ def test_word_kernels_on_ints_give_the_ints_of_the_element_operations(ta, tb, tp
     assert br == words.bracket_words(a, b).terms
     acted = words._act_w(ta, tp)
     assert all(type(v) is int and v for v in acted.values())
-    assert acted == words.act_word(a, p).terms
+    assert acted == reference_act_w(ta, tp)
 
 
 @settings(max_examples=150, deadline=None)
 @given(frac_dicts(gen_key), frac_dicts(gen_key), frac_dicts(word))
 def test_word_kernels_on_fractions_equal_the_element_operations(ta, tb, tp):
-    a, b, p = words.WordLieElement(ta), words.WordLieElement(tb), words.WordPoly(tp)
+    a, b = words.WordLieElement(ta), words.WordLieElement(tb)
     assert words._bracket_w(ta, tb) == words.bracket_words(a, b).terms
-    assert words._act_w(ta, tp) == words.act_word(a, p).terms
+    assert words._act_w(ta, tp) == reference_act_w(ta, tp)
+
+
+short_word = st.text("ab", max_size=2).map(tuple)
+unit_coeffs = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)])
+
+
+@st.composite
+def cancelling_gens(draw):
+    """Generator dicts in which Z[u, v] and Z[u x, v x], with opposite
+    coefficients, send each word starting with v x to the same word."""
+    out = draw(st.dictionaries(st.tuples(short_word, short_word), unit_coeffs, max_size=3))
+    for (u, v), c in list(out.items()):
+        x = draw(short_word)
+        if x:
+            out[u + x, v + x] = -c
+    return out
+
+
+def _coeff_dicts(key):
+    return st.dictionaries(key, st.one_of(int_coeffs, frac_coeffs, unit_coeffs), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(int_dicts(gen_key), frac_dicts(gen_key), _coeff_dicts(gen_key),
+                 cancelling_gens()),
+       st.one_of(int_dicts(word), frac_dicts(word), _coeff_dicts(short_word)))
+def test_act_w_equals_the_reference_loop(tg, tp):
+    """The same items in the same order, with the same value types, on int,
+    Fraction, mixed and cancelling dicts."""
+    got, want = words._act_w(tg, tp), reference_act_w(tg, tp)
+    assert list(got.items()) == list(want.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3)])
+def test_act_w_drops_a_cancelled_word_and_appends_it_again(scale):
+    """Z[a,e] and -Z[ab,b] cancel on the word b; Z[ab,e] then adds ab again
+    on the empty word, after every word made so far."""
+    a, b = ("a",), ("b",)
+    tg = {(a, ()): scale, (a + b, b): -scale, (a + b, ()): scale}
+    tp = {b: 1, (): 1, a: 2}
+    expected = [(a, scale), (a + a, 2 * scale), (a + b + b, scale), (a + b, scale),
+                (a + b + a, 2 * scale)]
+    for kernel in (words._act_w, reference_act_w):
+        got = kernel(tg, tp)
+        assert list(got.items()) == expected
+        assert {type(v) for v in got.values()} == {type(scale)}
 
 
 def test_jacobi_window_sees_only_ints():
@@ -389,11 +437,26 @@ _WORD_BRACKET = words.generator_bracket_words
 def _word_bracket_doubled(w1, w2, w3, w4):
     return {key: 2 * c for key, c in _WORD_BRACKET(w1, w2, w3, w4).items()}
 
+
+_IOTA_L = words.iota_l
+
+
+def _iota_l_uneven(n, m, alphabet):
+    """``iota_l`` with the weight of its pair Z[a^n, b^m] divided by 3 over
+    two or more letters, so its weights have two denominators (but for n = m = 0)."""
+    image = _IOTA_L(n, m, alphabet)
+    if alphabet.size < 2:
+        return image
+    pair = (("a",) * n, ("b",) * m)
+    return image - words.WordLieElement({pair: image.terms[pair] * Fraction(2, 3)})
+
+
 IOTA_MUTANTS = {
     "theta-flip": (ladder, "theta", lambda k: 1 if k > 0 else 0),
     "act-unguarded": (ladder_module, "act_generator", lambda n, m, k: k - m + n),
     "ladder-drop-0": (ladder, "generator_bracket", _ladder_drop(0)),
     "word-bracket-doubled": (words, "generator_bracket_words", _word_bracket_doubled),
+    "iota-l-uneven": (words, "iota_l", _iota_l_uneven),
 }
 
 
@@ -412,6 +475,31 @@ def test_tabulated_iota_bracket_equals_the_per_case_loop(monkeypatch, bound, mut
     result = suites.check_words_iota_bracket(bound)
     assert result.passed is (mutant is None)
     assert result == reference_words_iota_bracket(bound)
+
+
+def reference_iota_suspects(alphabet, top):
+    """What ``suites._iota_bracket_suspects`` yields, from the per-case loop:
+    each failing case in order, and from a ValueError on, every case."""
+    cases = list(product(range(top + 1), repeat=5))
+    for at, case in enumerate(cases):
+        try:
+            passed = words.check_iota_bracket(*case, alphabet).passed
+        except ValueError:
+            yield from cases[at:]
+            return
+        if not passed:
+            yield case
+
+
+@pytest.mark.parametrize("mutant", [None, *IOTA_MUTANTS])
+def test_iota_suspects_are_exactly_the_failing_cases(monkeypatch, mutant):
+    """No passing case is a suspect and no failing case is missed, so the
+    scaling to int numerators is exact, uneven weights included."""
+    if mutant is not None:
+        monkeypatch.setattr(*IOTA_MUTANTS[mutant])
+    for alphabet in (words.Alphabet([words.Letter("a", 1)]), _two_letter_alphabet()):
+        assert (list(suites._iota_bracket_suspects(alphabet, 2))
+                == list(reference_iota_suspects(alphabet, 2)))
 
 
 # -- the one representation window ----------------------------------------

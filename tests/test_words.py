@@ -38,7 +38,6 @@ def test_alphabet_json_roundtrip():
     assert again.letters == ab.letters
     assert ab.alpha_degree(("a", "b", "a")) == 5
     assert ab.word_count(2) == 4
-    assert ab.sym_weight(("a", "a")) == 4
 
 
 def test_act_examples():
