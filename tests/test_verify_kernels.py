@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_act_w
@@ -289,31 +289,24 @@ def _coeff_dicts(key):
     return st.dictionaries(key, st.one_of(int_coeffs, frac_coeffs, unit_coeffs), max_size=5)
 
 
+# Z[a,e] and -Z[ab,b] cancel on the word b; Z[ab,e] then adds ab again on the
+# empty word, after every word made so far.
+_A, _B = ("a",), ("b",)
+_CANCEL_AND_READD = ({(_A, ()): 1, (_A + _B, _B): -1, (_A + _B, ()): 1}, {_B: 1, (): 1, _A: 2})
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(int_dicts(gen_key), frac_dicts(gen_key), _coeff_dicts(gen_key),
                  cancelling_gens()),
        st.one_of(int_dicts(word), frac_dicts(word), _coeff_dicts(short_word)))
+@example(*_CANCEL_AND_READD)
+@example({g: Fraction(c, 3) for g, c in _CANCEL_AND_READD[0].items()}, _CANCEL_AND_READD[1])
 def test_act_w_equals_the_reference_loop(tg, tp):
     """The same items in the same order, with the same value types, on int,
     Fraction, mixed and cancelling dicts."""
     got, want = words._act_w(tg, tp), reference_act_w(tg, tp)
     assert list(got.items()) == list(want.items())
     assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
-
-
-@pytest.mark.parametrize("scale", [1, Fraction(1, 3)])
-def test_act_w_drops_a_cancelled_word_and_appends_it_again(scale):
-    """Z[a,e] and -Z[ab,b] cancel on the word b; Z[ab,e] then adds ab again
-    on the empty word, after every word made so far."""
-    a, b = ("a",), ("b",)
-    tg = {(a, ()): scale, (a + b, b): -scale, (a + b, ()): scale}
-    tp = {b: 1, (): 1, a: 2}
-    expected = [(a, scale), (a + a, 2 * scale), (a + b + b, scale), (a + b, scale),
-                (a + b + a, 2 * scale)]
-    for kernel in (words._act_w, reference_act_w):
-        got = kernel(tg, tp)
-        assert list(got.items()) == expected
-        assert {type(v) for v in got.values()} == {type(scale)}
 
 
 def test_jacobi_window_sees_only_ints():
