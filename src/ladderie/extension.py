@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
+from operator import mul
 
 from . import ladder
 from .glinf import E, GlElement, _bracket_e, bracket_ee, embed_to_z
 from .ladder import LieElement
 from .linalg import (ExactMatrix, Infeasible, SparseElement, action_cases, add_into, commutator,
-                     solve_or_refute)
+                     exact_scalar, solve_or_refute)
 
 #: Most (x, y, xi) derivation conditions ``verify_cocycle_conditions`` may
 #: check, (2 * bound + 1)**2 * (bound + 1)**2; the default admits bounds up
@@ -203,31 +205,38 @@ class ObstructionGridReport:
 
 def obstruction_grid(max_index: int, coefficients=(-2, -1, 0, 1, 2)) -> ObstructionGridReport:
     """Evaluate the splitting obstruction for every graded correction with
-    E indices <= max_index and coefficients drawn from ``coefficients``.
+    E indices <= max_index and coefficients drawn from ``coefficients``, ints
+    or Fractions (a float raises TypeError).
 
     The commutator is expanded bilinearly over the section and correction
     basis vectors; their pairwise brackets are computed once with the full
-    bracket and summed into one row per correction a, which each case b sums.
+    bracket.  They are scaled to ints by the lcm of their denominators, an
+    exact scaling, and each is packed into one int with an s-bit slot per Z
+    coordinate.  No coordinate of a case's sum, times the square of the
+    coefficients' common denominator, can reach 2^(s-1), so a case's packed
+    sum is zero exactly when its commutator is: one packed row per correction
+    a, which each case b sums.
     """
+    coefficients = tuple(map(exact_scalar, coefficients))
     ups = [section_s(Cgen(1))] + [embed_to_z(E(h + 1, h)) for h in range(max_index + 1)]
     downs = [section_s(Cgen(-1))] + [embed_to_z(E(k, k + 1)) for k in range(max_index + 1)]
-    table = [[ladder.bracket(u, v).z for v in downs] for u in ups]
-    width = max_index + 1
+    table = [[ladder.bracket(u, v).z for u in ups] for v in downs]
+    values = [c for column in table for cell in column for c in cell.values()]
+    den = lcm(*(c.denominator for c in values))
+    top = lcm(*(c.denominator for c in coefficients)) * max([1, *map(abs, coefficients)])
+    bits = int(top * top * den * sum(map(abs, values))).bit_length() + 1
+    slot = {key: bits * t for t, key in enumerate(
+        dict.fromkeys(key for column in table for cell in column for key in cell))}
+    packed = [[sum(int(c * den) << slot[key] for key, c in cell.items()) for cell in column]
+              for column in table]
     cases = 0
-    for a in product(coefficients, repeat=width):
-        row = [{} for _ in downs]
-        for cu, cells in zip((1,) + a, table):
-            for acc, cell in zip(row, cells):
-                add_into(acc, cell, cu)
-        for b in product(coefficients, repeat=width):
+    for a in product(coefficients, repeat=max_index + 1):
+        head, *row = (sum(map(mul, (1, *a), column)) for column in packed)
+        for b in product(coefficients, repeat=max_index + 1):
             cases += 1
-            acc: dict = {}
-            for cv, cell in zip((1,) + b, row):
-                add_into(acc, cell, cv)
-            if not acc:
-                return ObstructionGridReport(max_index, tuple(coefficients),
-                                             cases, False, (a, b))
-    return ObstructionGridReport(max_index, tuple(coefficients), cases, True)
+            if not head + sum(map(mul, b, row)):
+                return ObstructionGridReport(max_index, coefficients, cases, False, (a, b))
+    return ObstructionGridReport(max_index, coefficients, cases, True)
 
 
 def nonsplit_infeasibility(levels: int) -> Infeasible:

@@ -98,22 +98,49 @@ def _jacobi_window(gens, bracket_terms):
     """The first triple (a, b, c) of ``gens``, in nested order, whose Jacobi
     sum [[a,b],c] + [[b,c],a] + [[c,a],b] is nonzero, or None.
 
-    ``bracket_terms`` brackets two dicts ``generator -> coefficient``; the
-    generators enter as int unit dicts and the pairwise brackets are
-    tabulated once, so an integer kernel creates no Fraction here.  Rotated
-    triples share one sum, so each rotation class is tried at its least triple.
+    ``bracket_terms`` brackets two dicts ``generator -> coefficient`` into a
+    zero-free one; the generators enter as int unit dicts, so an integer
+    kernel creates no Fraction here.  Rotated triples share one sum, so each
+    rotation class is tried at its least triple.  By bilinearity each part of
+    the sum is a combination of brackets [g, z] of a generator g with a window
+    member z: they are read from the table of window pairs when g is in the
+    window, else bracketed once per sweep of a and kept until the sweep ends.
+    Generators are numbered, the window first, so sums run on int keys.
     """
-    units = {g: {g: 1} for g in gens}
-    table = {(a, b): bracket_terms(units[a], units[b]) for a in gens for b in gens}
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens[i:], i):
-            ab = table[a, b]
-            for c in gens[i + (j > i):]:
-                acc = bracket_terms(ab, units[c])
-                add_into(acc, bracket_terms(table[b, c], units[a]))
-                add_into(acc, bracket_terms(table[c, a], units[b]))
+    ids = {g: i for i, g in enumerate(gens)}
+    keys = list(gens)
+
+    def numbered(g, z):
+        out = []
+        for key, c in bracket_terms({keys[g]: 1}, {keys[z]: 1}).items():
+            if key not in ids:
+                ids[key] = len(keys)
+                keys.append(key)
+            out.append((ids[key], c))
+        return out
+
+    n = len(gens)
+    table = [[numbered(a, b) for b in range(n)] for a in range(n)]
+    columns = list(zip(*table))
+    for i in range(n):
+        swept = [{} for _ in range(n)]
+        for j in range(i, n):
+            for k in range(i + (j > i), n):
+                acc = {}
+                for part, z in ((table[i][j], k), (table[j][k], i), (table[k][i], j)):
+                    column, memo = columns[z], swept[z]
+                    for g, c in part:
+                        if g < n:
+                            br = column[g]
+                        elif (br := memo.get(g)) is None:
+                            br = memo[g] = numbered(g, z)
+                        for h, d in br:
+                            if v := acc.get(h, 0) + c * d:
+                                acc[h] = v
+                            else:
+                                del acc[h]
                 if acc:
-                    return a, b, c
+                    return gens[i], gens[j], gens[k]
     return None
 
 

@@ -208,8 +208,9 @@ def iota_h(k: int, alphabet: Alphabet) -> WordPoly:
     return WordPoly({w: 1 for w in alphabet.words(k)})
 
 
-#: iota_l refuses an image with more word pairs than this, or longer pairs.
-MAX_IOTA_TERMS = 2 ** 20
+#: iota_l refuses an image with more word pairs than this, or longer pairs;
+#: time and memory grow with the pair count; 2^16 pairs take about half a second.
+MAX_IOTA_TERMS = 2 ** 16
 
 
 def iota_l(n: int, m: int, alphabet: Alphabet) -> WordLieElement:

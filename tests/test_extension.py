@@ -188,6 +188,8 @@ def test_obstruction_grading_precondition():
 def test_obstruction_grid_small_and_pointwise_agreement():
     report = obstruction_grid(1, (-1, 0, 1))
     assert report.all_nonzero and report.cases == 81
+    with pytest.raises(TypeError, match="is not exact"):
+        obstruction_grid(1, (-1, 0.5, 1))
 
     rng = random.Random(8)
     for _ in range(40):

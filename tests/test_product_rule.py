@@ -156,7 +156,8 @@ def test_alpha_commutator_equals_the_step_function_case_split():
             assert extension.alpha_on_generator(d, i, j) == theta_alpha_on_generator(d, i, j)
 
 
-@pytest.mark.parametrize("coefficients", [(-2, -1, 0, 1, 2), (-1, 0, 1)])
+@pytest.mark.parametrize("coefficients", [(-2, -1, 0, 1, 2), (-1, 0, 1),
+                                          (Fraction(-1, 2), 0, Fraction(1, 3))])
 @pytest.mark.parametrize("max_index", [0, 1, 2])
 def test_sparse_obstruction_grid_equals_the_dense_grid(max_index, coefficients):
     assert (extension.obstruction_grid(max_index, coefficients)
@@ -180,6 +181,33 @@ def test_obstruction_grid_of_a_half_integer_bracket_equals_the_dense_grid(monkey
     report = extension.obstruction_grid(max_index)
     assert report.all_nonzero == (table is six_term_ladder)
     assert report == dense_obstruction_grid(max_index)
+
+
+def _scaled_at_index_sum(table, total, factor):
+    return lambda *quad: {k: v * (factor if sum(quad) == total else 1)
+                          for k, v in table(*quad).items()}
+
+
+@pytest.mark.parametrize("factor", [1000, Fraction(1, 2)] + [2 ** k for k in range(1, 33)])
+def test_packed_grid_rows_keep_every_coordinate_apart(monkeypatch, factor):
+    """The brackets of index sum 4 scaled by ``factor``.  Packed with a slot
+    too narrow for the sums, a nonzero commutator can pack to zero: scaled by
+    2^(w-1), these brackets made a fixed w-bit slot report a false zero for
+    each w from 2 to 25 tried."""
+    monkeypatch.setattr(ladder, "generator_bracket",
+                        _scaled_at_index_sum(six_term_ladder, 4, factor))
+    assert extension.obstruction_grid(1) == dense_obstruction_grid(1)
+
+
+@pytest.mark.parametrize("table", [six_term_ladder, _ladder_drop_first])
+def test_packed_grid_rows_hold_the_sums_of_wide_coefficients(monkeypatch, table):
+    """Coefficients up to 9 in size, and the section's 1: case sums up to 81
+    times a bracket's coefficient."""
+    monkeypatch.setattr(ladder, "generator_bracket", table)
+    coefficients = tuple(range(-9, 10))
+    report = extension.obstruction_grid(1, coefficients)
+    assert report.all_nonzero == (table is six_term_ladder)
+    assert report == dense_obstruction_grid(1, coefficients)
 
 
 @pytest.mark.parametrize("coefficients", [(-2, -1, 0, 1, 2), (-1, 0, 1)])

@@ -4,6 +4,7 @@ inputs."""
 
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -361,8 +362,10 @@ def test_rotation_scan_equals_the_full_scan_on_words():
 
 
 def test_rotation_scan_tries_each_rotation_class_once():
-    """n^2 table brackets, then three for each of the (n^3 + 2n) / 3 classes
-    of triples under rotation, instead of three for each of the n^3 triples."""
+    """n^2 table brackets, then one bracket [g, z] per sweep of the first
+    member for each generator g outside the window and window member z that
+    a sum needs: fewer than the n^2 + (n^3 + 2n) of three brackets for each
+    of the (n^3 + 2n) / 3 classes of triples under rotation."""
     gens = [(n, m) for n in range(3) for m in range(3)]
     calls = []
 
@@ -372,7 +375,21 @@ def test_rotation_scan_tries_each_rotation_class_once():
 
     assert suites._jacobi_window(gens, counting) is None
     n = len(gens)
-    assert len(calls) == n * n + (n ** 3 + 2 * n)
+    assert all(len(ta) == len(tb) == 1 for ta, tb in calls)
+    assert len(calls) == 204 < n * n + (n ** 3 + 2 * n)
+
+
+def test_words_jacobi_peaks_under_one_and_a_half_megabytes():
+    """Brackets outside the window are kept for one sweep only; a memo over
+    the whole check peaked at 7.2 MB."""
+    tracemalloc.start()
+    try:
+        result = suites.check_words_jacobi(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 1.5e6
 
 
 def _seeded_mutant(original, seed, size):
@@ -400,7 +417,8 @@ def _word_size(args):
 
 def test_rotation_scan_equals_the_full_scan_under_seeded_mutants(monkeypatch):
     """The same CheckResult (ladder, bounds 1 and 2) or triple (words of
-    length <= 1) as the full scan under 24 seeded mutants of each bracket."""
+    length <= 1) as the full scan under 24 seeded mutants of each bracket,
+    and the same ``words.jacobi`` result (bounds 2 and 3) under the first 8."""
     ladder_original = ladder.generator_bracket
     words_original = words.generator_bracket_words
     word_gens = _word_generators(_two_letter_alphabet(), 1)
@@ -420,6 +438,11 @@ def test_rotation_scan_equals_the_full_scan_under_seeded_mutants(monkeypatch):
             fast = suites._jacobi_window(word_gens, words._bracket_w)
             assert fast == reference_jacobi_window(word_gens, words._bracket_w)
             words_passed.append(fast is None)
+            if seed < 8:
+                with monkeypatch.context() as reference:
+                    reference.setattr(suites, "_jacobi_window", reference_jacobi_window)
+                    expected = suites.check_words_jacobi(2)
+                assert suites.check_words_jacobi(2) == expected == suites.check_words_jacobi(3)
     for passed in (ladder_passed, words_passed):
         assert 5 <= passed.count(True) and 5 <= passed.count(False)
 

@@ -203,24 +203,24 @@ def test_word_kernels_over_one_letter_are_the_ladder_kernels():
         assert (None if out is None else len(out)) == ladder_module.act_generator(n, m, k)
 
 
-@pytest.mark.parametrize("n, m", [(10, 11), (11, 10), (200, 200), (10 ** 12, 1)])
+@pytest.mark.parametrize("n, m", [(8, 9), (9, 8), (10, 11), (11, 10), (200, 200), (10 ** 12, 1)])
 def test_iota_l_refuses_an_image_over_the_limit_before_building_a_word(n, m, monkeypatch):
     def no_words(self, aug_degree):
         raise AssertionError("a word was built")
 
     monkeypatch.setattr(Alphabet, "words", no_words)
-    with pytest.raises(ValueError, match="more than the limit of 1048576"):
+    with pytest.raises(ValueError, match="more than the limit of 65536"):
         iota_l(n, m, two_letters())
     with pytest.raises(ValueError, match="more than the limit"):
         iota_l(n + words.MAX_IOTA_TERMS, m, one_letter())
 
 
 def test_iota_l_builds_the_largest_admitted_images(monkeypatch):
-    """At the limit itself: one pair of 2^20 letters over one letter; and,
+    """At the limit itself: one pair of 2^16 letters over one letter; and,
     under a limit of 2^6, the 2^6 pairs of Z[3,3] over two letters."""
-    assert words.MAX_IOTA_TERMS == 2 ** 20
-    image = iota_l(2 ** 19, 2 ** 19, one_letter())
-    assert [(len(w1), len(w2)) for w1, w2 in image.terms] == [(2 ** 19, 2 ** 19)]
+    assert words.MAX_IOTA_TERMS == 2 ** 16
+    image = iota_l(2 ** 15, 2 ** 15, one_letter())
+    assert [(len(w1), len(w2)) for w1, w2 in image.terms] == [(2 ** 15, 2 ** 15)]
     monkeypatch.setattr(words, "MAX_IOTA_TERMS", 2 ** 6)
     assert len(iota_l(3, 3, two_letters()).terms) == 2 ** 6
     with pytest.raises(ValueError):
