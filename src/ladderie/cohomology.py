@@ -81,9 +81,10 @@ def truncate_gl(n: int) -> FiniteLieAlgebra:
     idx = {unit: a for a, unit in enumerate(units)}
     structure = {}
     for a, b in combinations(range(n * n), 2):
-        vec = {idx[key]: c for key, c in glinf.generator_bracket_ee(*units[a], *units[b]).items()}
-        if vec:
-            structure[(a, b)] = vec
+        vec = glinf.generator_bracket_ee(*units[a], *units[b])
+        if vec.keys() - idx.keys():
+            raise ValueError("[E[%d,%d], E[%d,%d]] leaves gl(%d)" % (*units[a], *units[b], n))
+        structure[(a, b)] = {idx[key]: c for key, c in vec.items()}
     return FiniteLieAlgebra(["E[%d,%d]" % unit for unit in units], structure)
 
 

@@ -1,8 +1,9 @@
 """Batch verification suites behind the CLI `verify` verb.
 
-Every check is a pure function of the bound returning a CheckResult; the
-registry is every ``check_*`` function, run in name order.  Checks reach
-the algebra modules through their module objects (late binding), so a
+Every check is a pure function of the bound that returns ``_verdict`` of a
+lazy iterator of its failures, so a ValueError anywhere in a check is its
+FAIL; the registry is every ``check_*`` function, run in name order.  Checks
+reach the algebra modules through their module objects (late binding), so a
 mutation test can patch one seam and watch the right checks fail.
 """
 
@@ -34,26 +35,19 @@ class SuiteReport:
     results: tuple
 
 
-def _ok(name, detail):
-    return CheckResult(name, True, detail)
-
-
-def _fail(name, detail, counterexample):
-    return CheckResult(name, False, detail, counterexample)
-
-
 def _verdict(name, passed_detail, failures):
-    """The check's result: a failure for the first (detail, counterexample)
-    that the lazy iterable ``failures`` yields, which stops the check there,
-    or a pass with ``passed_detail`` when it yields nothing.  A ValueError
-    raised while a case is computed (an element leaving its space, say) is a
-    failure too, with its message as the counterexample."""
+    """The check's result, the one place a CheckResult is built: a failure
+    for the first (detail, counterexample) that the lazy iterator ``failures``
+    yields, which stops the check there, or else a pass with ``passed_detail``
+    (if None, what ``failures`` returns).  A ValueError raised in a case (an
+    element leaving its space, say) is a failure with its message."""
     try:
-        for detail, counterexample in failures:
-            return _fail(name, detail, counterexample)
+        detail, counterexample = next(failures)
+    except StopIteration as done:
+        return CheckResult(name, True, done.value if passed_detail is None else passed_detail)
     except ValueError as exc:
-        return _fail(name, "raised ValueError", str(exc))
-    return _ok(name, passed_detail)
+        return CheckResult(name, False, "raised ValueError", str(exc))
+    return CheckResult(name, False, detail, counterexample)
 
 
 def _square(top):
@@ -147,10 +141,11 @@ def _jacobi_window(gens, bracket_terms):
 def check_bracket_jacobi(bound):
     name = "bracket.jacobi"
     gens = list(_square(bound))
-    bad = _jacobi_window(gens, ladder._bracket_z)
-    if bad is not None:
-        return _fail(name, "exhaustive window %d" % bound, "Z%s, Z%s, Z%s" % bad)
-    return _ok(name, "%d generator triples" % len(gens) ** 3)
+
+    def failures():
+        if (bad := _jacobi_window(gens, ladder._bracket_z)) is not None:
+            yield "exhaustive window %d" % bound, "Z%s, Z%s, Z%s" % bad
+    return _verdict(name, "%d generator triples" % len(gens) ** 3, failures())
 
 
 def check_bracket_grading(bound):
@@ -197,23 +192,25 @@ def check_bracket_center_z00(bound):
 def check_lie_center_window(bound):
     name = "lie.center_window"
     b = min(bound, 6)
-    tests = ([ladder.Z(k, k) for k in range(1, 7)]
-             + [ladder.Z(n, 0) for n in range(1, 7)]
-             + [ladder.Z(0, n) for n in range(1, 7)])
-    basis = ladder.centralizer_basis(tests, b)
-    if basis == [ladder.Z(0, 0)]:
-        return _ok(name, "centralizer at bound %d is exactly span{Z[0,0]}" % b)
-    return _fail(name, "bound %d" % b, "basis = %s" % ([str(x) for x in basis],))
+
+    def failures():
+        tests = ([ladder.Z(k, k) for k in range(1, 7)]
+                 + [ladder.Z(n, 0) for n in range(1, 7)]
+                 + [ladder.Z(0, n) for n in range(1, 7)])
+        if (basis := ladder.centralizer_basis(tests, b)) != [ladder.Z(0, 0)]:
+            yield "bound %d" % b, "basis = %s" % ([str(x) for x in basis],)
+    return _verdict(name, "centralizer at bound %d is exactly span{Z[0,0]}" % b, failures())
 
 
 def check_lie_maximal_abelian(bound):
     name = "lie.maximal_abelian"
-    tests = [ladder.Z(k, k) for k in range(1, 2 * bound + 1)]
-    basis = ladder.centralizer_basis(tests, bound)
-    expected = [ladder.Z(j, j) for j in range(bound + 1)]
-    if sorted(basis, key=lambda e: sorted(e.z)) == expected:
-        return _ok(name, "diagonal test set pins the degree-0 window at bound %d" % bound)
-    return _fail(name, "bound %d" % bound, "basis = %s" % ([str(x) for x in basis],))
+
+    def failures():
+        basis = ladder.centralizer_basis([ladder.Z(k, k) for k in range(1, 2 * bound + 1)], bound)
+        if sorted(basis, key=lambda e: sorted(e.z)) != [ladder.Z(j, j) for j in range(bound + 1)]:
+            yield "bound %d" % bound, "basis = %s" % ([str(x) for x in basis],)
+    return _verdict(name, "diagonal test set pins the degree-0 window at bound %d" % bound,
+                    failures())
 
 
 def check_glinf_bracket_embedding(bound):
@@ -302,11 +299,12 @@ def check_ext_rho_agreement(bound):
 
 def check_ext_cocycles(bound):
     name = "ext.cocycle_conditions"
-    report = extension.verify_cocycle_conditions(bound)
-    if report.passed:
-        return _ok(name, "%d pair and %d triple conditions"
-                   % (report.pairs_checked, report.triples_checked))
-    return _fail(name, "bound %d" % bound, report.counterexample)
+
+    def failures():
+        if not (report := extension.verify_cocycle_conditions(bound)).passed:
+            yield "bound %d" % bound, report.counterexample
+        return "%d pair and %d triple conditions" % (report.pairs_checked, report.triples_checked)
+    return _verdict(name, None, failures())
 
 
 def check_ext_reconstruction(bound):
@@ -316,8 +314,7 @@ def check_ext_reconstruction(bound):
     def failures():
         for (n, m), (l, s) in pairs:
             a, b = ladder.Z(n, m), ladder.Z(l, s)
-            xa = extension.project_to_c(a)
-            xb = extension.project_to_c(b)
+            xa, xb = extension.project_to_c(a), extension.project_to_c(b)
             xia = glinf.express_in_e(a - extension.section_s(xa))
             xib = glinf.express_in_e(b - extension.section_s(xb))
             if xia is None or xib is None:
@@ -334,12 +331,14 @@ def check_ext_reconstruction(bound):
 
 def check_ext_obstruction(bound):
     name = "ext.obstruction_grid"
-    if extension.nonsplit_obstruction(glinf.GlElement(), glinf.GlElement()).is_zero():
-        return _fail(name, "base case", "uncorrected section commutator vanished")
-    report = extension.obstruction_grid(min(bound, 2))
-    if report.all_nonzero:
-        return _ok(name, "%d graded corrections, none split" % report.cases)
-    return _fail(name, "grid %d" % report.max_index, str(report.first_zero))
+
+    def failures():
+        if extension.nonsplit_obstruction(glinf.GlElement(), glinf.GlElement()).is_zero():
+            yield "base case", "uncorrected section commutator vanished"
+        if not (report := extension.obstruction_grid(min(bound, 2))).all_nonzero:
+            yield "grid %d" % report.max_index, str(report.first_zero)
+        return "%d graded corrections, none split" % report.cases
+    return _verdict(name, None, failures())
 
 
 def check_ext_infeasible(bound):
@@ -352,10 +351,12 @@ def check_ext_infeasible(bound):
 
 def check_module_representation(bound):
     name = "module.representation"
-    report = ladder_module.verify_action_is_representation(bound, bound)
-    if report.passed:
-        return _ok(name, "%d triples" % report.checked)
-    return _fail(name, "bound %d" % bound, report.counterexample)
+
+    def failures():
+        if not (report := ladder_module.verify_action_is_representation(bound, bound)).passed:
+            yield "bound %d" % bound, report.counterexample
+        return "%d triples" % report.checked
+    return _verdict(name, None, failures())
 
 
 def _random_monomial(rng):
@@ -384,8 +385,7 @@ def check_module_coproduct(bound):
             dt = ladder_module.coproduct(ladder_module.t(k))
             if dt != dt.swap():
                 yield "cocommutativity", "t[%d]" % k
-            left = {}
-            right = {}
+            left, right = {}, {}
             for (a, b), c in dt.terms.items():
                 da = ladder_module.coproduct(ladder_module.LadderPoly({a: 1}))
                 db = ladder_module.coproduct(ladder_module.LadderPoly({b: 1}))
@@ -416,11 +416,11 @@ def check_words_antisymmetry(bound):
 def check_words_jacobi(bound):
     name = "words.jacobi"
     gens = _word_generators(_two_letter_alphabet(), 2)
-    bad = _jacobi_window(gens, words._bracket_w)
-    if bad is not None:
-        return _fail(name, "words of length <= 2",
-                     "%r %r %r" % tuple(words.Zw(*g) for g in bad))
-    return _ok(name, "%d generator triples" % len(gens) ** 3)
+
+    def failures():
+        if (bad := _jacobi_window(gens, words._bracket_w)) is not None:
+            yield "words of length <= 2", "%r %r %r" % tuple(words.Zw(*g) for g in bad)
+    return _verdict(name, "%d generator triples" % len(gens) ** 3, failures())
 
 
 def check_words_action_representation(bound):
@@ -531,12 +531,12 @@ def check_dse_single_letter(bound):
 
 def check_dse_fibonacci(bound):
     name = "dse.fibonacci"
-    alphabet = _two_letter_alphabet()
-    exp = words.dse_expand(alphabet, 6)
-    counts = [len(exp.c[j].terms) for j in range(7)]
-    if counts != [1, 1, 2, 3, 5, 8, 13]:
-        return _fail(name, "composition counts", str(counts))
-    return _ok(name, "orders 1..6 count compositions into parts {1,2}")
+
+    def failures():
+        exp = words.dse_expand(_two_letter_alphabet(), 6)
+        if (counts := [len(exp.c[j].terms) for j in range(7)]) != [1, 1, 2, 3, 5, 8, 13]:
+            yield "composition counts", str(counts)
+    return _verdict(name, "orders 1..6 count compositions into parts {1,2}", failures())
 
 
 def check_dse_sym(bound):
@@ -567,13 +567,15 @@ def check_cohomology_betti(bound):
 
 def check_cohomology_d_squared(bound):
     name = "cohomology.d_squared"
-    algebras = [cohomology.truncate_gl(1), cohomology.truncate_gl(2),
-                cohomology.abelian_algebra(4)]
-    return _verdict(name, "d compose d vanishes on the sample algebras", (
-        ("dim %d" % algebra.dim, "degree %d" % k)
-        for algebra in algebras for k in range(algebra.dim)
-        if matmul(cohomology.ce_differential(algebra, k + 1),
-                  cohomology.ce_differential(algebra, k)).entries))
+
+    def failures():
+        for algebra in (cohomology.truncate_gl(1), cohomology.truncate_gl(2),
+                        cohomology.abelian_algebra(4)):
+            for k in range(algebra.dim):
+                if matmul(cohomology.ce_differential(algebra, k + 1),
+                          cohomology.ce_differential(algebra, k)).entries:
+                    yield "dim %d" % algebra.dim, "degree %d" % k
+    return _verdict(name, "d compose d vanishes on the sample algebras", failures())
 
 
 def check_cohomology_stability(bound):
@@ -585,13 +587,10 @@ def check_cohomology_stability(bound):
 
 def check_cohomology_h1(bound):
     name = "cohomology.h1"
-    free = cohomology.h1_degree_functional(bound, with_y=False)
-    if free.dimension != 2 * bound + 1:
-        return _fail(name, "without Y", "dimension %d" % free.dimension)
-    pinned = cohomology.h1_degree_functional(bound, with_y=True)
-    if pinned.dimension != 1:
-        return _fail(name, "with Y", "dimension %d" % pinned.dimension)
-    return _ok(name, "dimensions %d and 1 at bound %d" % (free.dimension, bound))
+    return _verdict(name, "dimensions %d and 1 at bound %d" % (2 * bound + 1, bound), (
+        (where, "dimension %d" % got)
+        for where, with_y, want in (("without Y", False, 2 * bound + 1), ("with Y", True, 1))
+        if (got := cohomology.h1_degree_functional(bound, with_y=with_y).dimension) != want))
 
 
 def check_cohomology_central_evidence(bound):
@@ -625,9 +624,8 @@ def run_verify_suite(bound: int = 4, stop_on_failure: bool = False) -> SuiteRepo
                          "more than the limit of %d" % (bound, triples, MAX_JACOBI_TRIPLES))
     results = []
     for fn in _CHECKS:
-        result = fn(bound)
-        results.append(result)
-        if stop_on_failure and not result.passed:
+        results.append(fn(bound))
+        if stop_on_failure and not results[-1].passed:
             break
     results.sort(key=lambda r: r.name)
     return SuiteReport(bound, all(r.passed for r in results), tuple(results))

@@ -35,3 +35,21 @@ def test_a_raised_value_error_fails_its_check(monkeypatch, capsys):
     assert cli.main(["verify", "--bound", "2"]) == 1
     out, err = capsys.readouterr()
     assert "FAIL module.leibniz" in out and err == ""
+
+
+def test_a_value_error_outside_a_case_loop_fails_its_check(monkeypatch, capsys):
+    """The obstruction grid's one eager call raises too, and reports a FAIL."""
+    from ladderie import cli, ladder
+
+    original = ladder.generator_bracket
+
+    def leaving(n, m, l, s):
+        out = dict(original(n, m, l, s))
+        if out:
+            out[(-1, 0)] = out.get((-1, 0), 0) + 1
+        return out
+
+    monkeypatch.setattr(ladder, "generator_bracket", leaving)
+    assert cli.main(["verify", "--bound", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL ext.obstruction_grid (raised ValueError)" in out and err == ""

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from ladderie import extension, ladder, ladder_module, suites, words
+from ladderie import extension, glinf, ladder, ladder_module, suites, words
 from ladderie.cli import main
 from ladderie.linalg import add_into
 
@@ -31,6 +31,8 @@ _SECTION_ORIGINAL = extension.section_generator
 _ACT_ORIGINAL = ladder_module.act_generator
 _IOTA_H_ORIGINAL = words.iota_h
 _DSE_ORIGINAL = words.dse_expand
+_LADDER_ORIGINAL = ladder.generator_bracket
+_GL_ORIGINAL = glinf.generator_bracket_ee
 
 
 def _ladder_drop_first(n, m, l, s):
@@ -102,11 +104,31 @@ def _rho_negative_at_1_minus_1(a, b):
     return {(-1, 0): 1} if (a, b) == (1, -1) else _RHO_ORIGINAL(a, b)
 
 
-#: Seams patched so that a case of a representation check raises ValueError:
-#: t[4] goes to t[-1], and rho(C[1], C[-1]) to E[-1,0].
+def _with_minus_one_zero(bracket):
+    """``bracket`` with 1 added at the index pair (-1, 0) of each nonzero value."""
+    def mutant(*indices):
+        out = dict(bracket(*indices))
+        if out:
+            out[(-1, 0)] = out.get((-1, 0), 0) + 1
+        return out
+    return mutant
+
+
+def _dse_refusing(alphabet, order):
+    raise ValueError("expansion refused")
+
+
+#: Seams patched so that some case of a check raises ValueError: t[4] goes to
+#: t[-1], rho(C[1], C[-1]) to E[-1,0], every nonzero ladder bracket gains
+#: Z[-1,0] and every nonzero gl bracket E[-1,0], and no expansion is made.
+#: The last three raise in calls that no case loop surrounds: single-shot
+#: checks, and the gl(n) truncation of the cohomology checks.
 RAISING_MUTANTS = {
     "act-leaves-at-4": (ladder_module, "act_generator", _act_leaving_at_4),
     "rho-negative-at-1-minus-1": (extension, "rho_on_generators", _rho_negative_at_1_minus_1),
+    "ladder-bracket-leaves": (ladder, "generator_bracket", _with_minus_one_zero(_LADDER_ORIGINAL)),
+    "dse-raises": (words, "dse_expand", _dse_refusing),
+    "gl-bracket-leaves": (glinf, "generator_bracket_ee", _with_minus_one_zero(_GL_ORIGINAL)),
 }
 
 
@@ -153,6 +175,15 @@ def test_every_check_reports_under_a_mutant(monkeypatch, mutant):
     monkeypatch.setattr(*{**MUTANTS, **RAISING_MUTANTS}[mutant])
     for fn in suites._CHECKS:
         assert isinstance(fn(BOUND), suites.CheckResult), fn.__name__
+
+
+@pytest.mark.parametrize("mutant", sorted(RAISING_MUTANTS))
+def test_verify_exits_1_under_a_raising_mutant(monkeypatch, capsys, mutant):
+    """A ValueError in any check is a FAIL line, never the usage-error exit."""
+    monkeypatch.setattr(*RAISING_MUTANTS[mutant])
+    assert main(["verify", "--bound", str(BOUND)]) == 1
+    out, err = capsys.readouterr()
+    assert "\nFAIL " in "\n" + out and err == ""
 
 
 @pytest.mark.parametrize("mutant, check, counterexample", [

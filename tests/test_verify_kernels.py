@@ -17,7 +17,7 @@ from ladderie import extension, glinf, ladder, ladder_module, linalg, suites, wo
 from ladderie.extension import CocycleReport
 from ladderie.ladder_module import ActionReport
 from ladderie.linalg import add_into
-from ladderie.suites import _fail, _ok, _two_letter_alphabet, _word_generators
+from ladderie.suites import CheckResult, _two_letter_alphabet, _word_generators
 
 # -- reference checks: the element-level bodies the fast paths replace -------
 
@@ -38,9 +38,9 @@ def reference_bracket_jacobi(bound):
                 add_into(acc, ladder._bracket_z(ladder._bracket_z(zb, zc), za))
                 add_into(acc, ladder._bracket_z(ladder._bracket_z(zc, za), zb))
                 if acc:
-                    return _fail(name, "exhaustive window %d" % bound,
-                                 "Z%s, Z%s, Z%s" % (a, b, c))
-    return _ok(name, "%d generator triples" % count)
+                    return CheckResult(name, False, "exhaustive window %d" % bound,
+                                       "Z%s, Z%s, Z%s" % (a, b, c))
+    return CheckResult(name, True, "%d generator triples" % count)
 
 
 def reference_words_jacobi(bound):
@@ -56,8 +56,9 @@ def reference_words_jacobi(bound):
                          + words.bracket_words(words.bracket_words(b, c), a)
                          + words.bracket_words(words.bracket_words(c, a), b))
                 if not total.is_zero():
-                    return _fail(name, "words of length <= 2", "%r %r %r" % (a, b, c))
-    return _ok(name, "%d generator triples" % count)
+                    return CheckResult(name, False, "words of length <= 2",
+                                       "%r %r %r" % (a, b, c))
+    return CheckResult(name, True, "%d generator triples" % count)
 
 
 def reference_words_action_representation(bound):
@@ -73,9 +74,10 @@ def reference_words_action_representation(bound):
                 rhs = (words.act_word(a, words.act_word(b, p))
                        - words.act_word(b, words.act_word(a, p)))
                 if lhs != rhs:
-                    return _fail(name, "length <= 2 generators on words <= 3",
-                                 "%r, %r on %r" % (a, b, p))
-    return _ok(name, "%d generator pairs on %d words" % (len(gens) ** 2, len(targets)))
+                    return CheckResult(name, False, "length <= 2 generators on words <= 3",
+                                       "%r, %r on %r" % (a, b, p))
+    return CheckResult(name, True,
+                       "%d generator pairs on %d words" % (len(gens) ** 2, len(targets)))
 
 
 def reference_module_representation(generator_bound, ladder_bound=None):
