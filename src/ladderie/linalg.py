@@ -167,9 +167,10 @@ def action_cases(gens, targets, act, bracket, bracket_act=None):
     ``gens`` and w in ``targets``, in nested order, on int unit dicts:
     ``act(u, v)`` is a new dict, u acting on v, ``bracket(u, v)`` brackets
     two generators and ``bracket_act`` (default ``act``) lets a bracket act.
-    Each image a(w) is computed once and each bracket once per pair.
-    ``holds`` is None when the case raised ValueError (an image left its
-    space, say)."""
+    Each image a(w) is computed once and each bracket once per pair.  The
+    kernels must be bilinear, so one with an empty input returns {}: that
+    call is skipped.  ``holds`` is None when the case raised ValueError (an
+    image left its space, say)."""
     bracket_act = bracket_act or act
 
     def or_none(fn, *args):
@@ -187,9 +188,10 @@ def action_cases(gens, targets, act, bracket, bracket_act=None):
             holds = None
             if ab is not None and ia is not None and ib is not None:
                 try:
-                    rhs = act(units[a], ib)
-                    add_into(rhs, act(units[b], ia), -1)
-                    holds = bracket_act(ab, {w: 1}) == rhs
+                    rhs = act(units[a], ib) if ib else {}
+                    if ia:
+                        add_into(rhs, act(units[b], ia), -1)
+                    holds = (bracket_act(ab, {w: 1}) if ab else {}) == rhs
                 except ValueError:
                     pass
             yield a, b, w, holds

@@ -70,8 +70,10 @@ def _random_lie(rng, idx_bound, nterms, y_bound):
             + ladder.Y * rng.randint(-y_bound, y_bound))
 
 
-def _antisymmetric(bracket, a, b):
-    return (bracket(a, b) + bracket(b, a)).is_zero()
+def _z_bracket(n, m, l, s):
+    """[Z[n,m], Z[l,s]]: the dict of ``ladder.generator_bracket``, looked up
+    at call time, wrapped uncopied in a LieElement, whose index check runs."""
+    return ladder.LieElement._from_canonical(ladder.generator_bracket(n, m, l, s))
 
 
 def check_bracket_antisymmetry(bound):
@@ -83,30 +85,30 @@ def check_bracket_antisymmetry(bound):
     return _verdict(name, "%d generator pairs and 50 random combinations" % len(pairs), chain(
         (("generator window %d" % bound, "[Z[%d,%d],Z[%d,%d]]" % (n, m, l, s))
          for (n, m), (l, s) in pairs
-         if not _antisymmetric(ladder.bracket, ladder.Z(n, m), ladder.Z(l, s))),
+         if not (_z_bracket(n, m, l, s) + _z_bracket(l, s, n, m)).is_zero()),
         (("random combinations", str(a)) for a, b in randoms
-         if not _antisymmetric(ladder.bracket, a, b))))
+         if not (ladder.bracket(a, b) + ladder.bracket(b, a)).is_zero())))
 
 
-def _jacobi_window(gens, bracket_terms):
+def _jacobi_window(gens, bracket):
     """The first triple (a, b, c) of ``gens``, in nested order, whose Jacobi
     sum [[a,b],c] + [[b,c],a] + [[c,a],b] is nonzero, or None.
 
-    ``bracket_terms`` brackets two dicts ``generator -> coefficient`` into a
-    zero-free one; the generators enter as int unit dicts, so an integer
-    kernel creates no Fraction here.  Rotated triples share one sum, so each
-    rotation class is tried at its least triple.  By bilinearity each part of
-    the sum is a combination of brackets [g, z] of a generator g with a window
-    member z: they are read from the table of window pairs when g is in the
-    window, else bracketed once per sweep of a and kept until the sweep ends.
-    Generators are numbered, the window first, so sums run on int keys.
+    ``bracket(*g, *z)`` is the generator bracket [g, z], a zero-free dict
+    ``generator -> coefficient``; an integer one makes no Fraction here.
+    Rotated triples share one sum, so each rotation class is tried at its
+    least triple.  By bilinearity each part of the sum is a combination of
+    brackets [g, z] of a generator g with a window member z: they are read
+    from the table of window pairs when g is in the window, else bracketed
+    once per sweep of a and kept until the sweep ends.  Generators are
+    numbered, the window first, so sums run on int keys.
     """
     ids = {g: i for i, g in enumerate(gens)}
     keys = list(gens)
 
     def numbered(g, z):
         out = []
-        for key, c in bracket_terms({keys[g]: 1}, {keys[z]: 1}).items():
+        for key, c in bracket(*keys[g], *keys[z]).items():
             if key not in ids:
                 ids[key] = len(keys)
                 keys.append(key)
@@ -143,8 +145,8 @@ def check_bracket_jacobi(bound):
     gens = list(_square(bound))
 
     def failures():
-        if (bad := _jacobi_window(gens, ladder._bracket_z)) is not None:
-            yield "exhaustive window %d" % bound, "Z%s, Z%s, Z%s" % bad
+        if (bad := _jacobi_window(gens, ladder.generator_bracket)) is not None:
+            yield "exhaustive window %d" % bound, "Z[%d,%d], Z[%d,%d], Z[%d,%d]" % sum(bad, ())
     return _verdict(name, "%d generator triples" % len(gens) ** 3, failures())
 
 
@@ -154,7 +156,7 @@ def check_bracket_grading(bound):
     return _verdict(name, "%d pairs" % len(pairs), (
         ("window %d" % bound, "[Z[%d,%d],Z[%d,%d]] = %s" % (n, m, l, s, r))
         for (n, m), (l, s) in pairs
-        if not (r := ladder.bracket(ladder.Z(n, m), ladder.Z(l, s))).is_zero()
+        if not (r := _z_bracket(n, m, l, s)).is_zero()
         and ladder.degree(r) != (n - m) + (l - s)))
 
 
@@ -171,13 +173,12 @@ def check_bracket_y_derivation(bound):
     pairs = _pairs(bound)
 
     def failures():
-        for (n, m), (l, s) in pairs:
-            a, b = ladder.Z(n, m), ladder.Z(l, s)
-            lhs = ladder.bracket(ladder.Y, ladder.bracket(a, b))
-            rhs = (ladder.bracket(ladder.bracket(ladder.Y, a), b)
-                   + ladder.bracket(a, ladder.bracket(ladder.Y, b)))
-            if lhs != rhs:
-                yield "window %d" % bound, "Z[%d,%d], Z[%d,%d]" % (n, m, l, s)
+        z = {g: ladder.Z(*g) for g in _square(bound)}
+        yz = {g: ladder.bracket(ladder.Y, e) for g, e in z.items()}
+        for a, b in pairs:
+            lhs = ladder.bracket(ladder.Y, _z_bracket(*a, *b))
+            if lhs != ladder.bracket(yz[a], z[b]) + ladder.bracket(z[a], yz[b]):
+                yield "window %d" % bound, "Z[%d,%d], Z[%d,%d]" % (*a, *b)
     return _verdict(name, "%d pairs" % len(pairs), failures())
 
 
@@ -213,22 +214,33 @@ def check_lie_maximal_abelian(bound):
                     failures())
 
 
+def _embedded(bound):
+    """The Z dict of each unit E[i,j] with i, j <= bound, embedded once."""
+    return {u: glinf.embed_to_z(glinf.E(*u)).z for u in _square(bound)}
+
+
+def _in_e(za, zb):
+    """The E form of the bracket of two Z dicts, or None outside the ideal."""
+    return glinf.express_in_e(ladder.LieElement._from_canonical(ladder._bracket_z(za, zb)))
+
+
 def check_glinf_bracket_embedding(bound):
     name = "glinf.bracket_embedding"
     pairs = _pairs(bound)
-    return _verdict(name, "%d unit pairs" % len(pairs), (
-        ("window %d" % bound, "E[%d,%d], E[%d,%d]" % (i, j, r, k))
-        for (i, j), (r, k) in pairs
-        if glinf.express_in_e(ladder.bracket(glinf.embed_to_z(glinf.E(i, j)),
-                                             glinf.embed_to_z(glinf.E(r, k))))
-        != glinf.bracket_ee(glinf.E(i, j), glinf.E(r, k))))
+
+    def failures():
+        zs, es = _embedded(bound), {u: glinf.E(*u) for u in _square(bound)}
+        for u, v in pairs:
+            if _in_e(zs[u], zs[v]) != glinf.bracket_ee(es[u], es[v]):
+                yield "window %d" % bound, "E[%d,%d], E[%d,%d]" % (*u, *v)
+    return _verdict(name, "%d unit pairs" % len(pairs), failures())
 
 
 def _z_e_brackets(bound):
     """(text, E form or None) of each [Z[n,m], E[i,j]] with indices <= bound."""
+    zs = _embedded(bound)
     for (n, m), (i, j) in product(_square(bound), repeat=2):
-        br = ladder.bracket(ladder.Z(n, m), glinf.embed_to_z(glinf.E(i, j)))
-        yield "[Z[%d,%d], E[%d,%d]]" % (n, m, i, j), glinf.express_in_e(br)
+        yield "[Z[%d,%d], E[%d,%d]]" % (n, m, i, j), _in_e({(n, m): 1}, zs[i, j])
 
 
 def check_glinf_ideal(bound):
@@ -243,7 +255,7 @@ def check_glinf_derived(bound):
     return _verdict(name, "%d generator brackets land in the ideal" % len(pairs), (
         ("window %d" % bound, "[Z[%d,%d],Z[%d,%d]]" % (n, m, l, s))
         for (n, m), (l, s) in pairs
-        if glinf.express_in_e(ladder.bracket(ladder.Z(n, m), ladder.Z(l, s))) is None))
+        if glinf.express_in_e(_z_bracket(n, m, l, s)) is None))
 
 
 def check_glinf_singles_excluded(bound):
@@ -311,19 +323,22 @@ def check_ext_reconstruction(bound):
     name = "ext.reconstruction"
     pairs = _pairs(bound)
 
+    @functools.cache
+    def split(n, m):
+        """(xi, x) of Z[n,m], or None when its section residue is outside the ideal."""
+        z = ladder.Z(n, m)
+        x = extension.project_to_c(z)
+        xi = glinf.express_in_e(z - extension.section_s(x))
+        return None if xi is None else extension.ExtElement(xi, x)
+
     def failures():
         for (n, m), (l, s) in pairs:
-            a, b = ladder.Z(n, m), ladder.Z(l, s)
-            xa, xb = extension.project_to_c(a), extension.project_to_c(b)
-            xia = glinf.express_in_e(a - extension.section_s(xa))
-            xib = glinf.express_in_e(b - extension.section_s(xb))
-            if xia is None or xib is None:
+            if (a := split(n, m)) is None or (b := split(l, s)) is None:
                 yield "window %d" % bound, "section residue not in ideal"
                 continue
-            res = extension.ext_bracket(extension.ExtElement(xia, xa),
-                                        extension.ExtElement(xib, xb))
+            res = extension.ext_bracket(a, b)
             rebuilt = glinf.embed_to_z(res.xi) + extension.section_s(res.x)
-            if rebuilt != ladder.bracket(a, b):
+            if rebuilt != _z_bracket(n, m, l, s):
                 yield "window %d" % bound, "Z[%d,%d], Z[%d,%d]" % (n, m, l, s)
     return _verdict(name, "%d generator pairs rebuilt through (alpha, rho)" % len(pairs),
                     failures())
@@ -410,7 +425,8 @@ def check_words_antisymmetry(bound):
     gens = _word_generators(_two_letter_alphabet(), 2)
     return _verdict(name, "%d generator pairs" % (len(gens) ** 2), (
         ("words of length <= 2", "%r, %r" % (g, h)) for g, h in product(gens, repeat=2)
-        if not _antisymmetric(words.bracket_words, words.Zw(*g), words.Zw(*h))))
+        if add_into(dict(words.generator_bracket_words(*g, *h)),
+                    words.generator_bracket_words(*h, *g))))
 
 
 def check_words_jacobi(bound):
@@ -418,7 +434,7 @@ def check_words_jacobi(bound):
     gens = _word_generators(_two_letter_alphabet(), 2)
 
     def failures():
-        if (bad := _jacobi_window(gens, words._bracket_w)) is not None:
+        if (bad := _jacobi_window(gens, words.generator_bracket_words)) is not None:
             yield "words of length <= 2", "%r %r %r" % tuple(words.Zw(*g) for g in bad)
     return _verdict(name, "%d generator triples" % len(gens) ** 3, failures())
 

@@ -134,17 +134,9 @@ def Zw(w1, w2, coeff=1) -> WordLieElement:
     return WordLieElement({(tuple(w1), tuple(w2)): coeff})
 
 
-def act_on_word(w1: Word, w2: Word, w: Word):
-    """Z[w1,w2] applied to the word w: prefix replacement, or None."""
-    k = len(w2)
-    if w[:k] == w2:
-        return w1 + w[k:]
-    return None
-
-
 def _act_w(tg: dict, tp: dict) -> dict:
     """Action of the generator combination ``tg`` on the word combination
-    ``tp``, as dicts; int coefficients give int results.  ``act_on_word``
+    ``tp``, as dicts; int coefficients give int results.  The prefix test
     and ``add_into`` are inline: most pairs miss, and a call costs more."""
     acc: dict = {}
     for (w1, w2), cg in tg.items():
@@ -165,12 +157,10 @@ def act_word(g: WordLieElement, p: WordPoly) -> WordPoly:
 
 def generator_product_words(w1: Word, w2: Word, w3: Word, w4: Word):
     """Z[w1,w2] Z[w3,w4]: one generator (w1', w4') or None for zero."""
-    out = act_on_word(w1, w2, w3)
-    if out is not None:
-        return (out, w4)
-    out = act_on_word(w4, w3, w2)
-    if out is not None:
-        return (w1, out)
+    if w3[:len(w2)] == w2:
+        return (w1 + w3[len(w2):], w4)
+    if w2[:len(w3)] == w3:
+        return (w1, w4 + w2[len(w3):])
     return None
 
 

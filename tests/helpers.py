@@ -7,11 +7,10 @@ small fixtures and to check results.  pytest does not collect this file.
 """
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from ladderie.linalg import ExactMatrix, add_into, exact_scalar
-from ladderie.words import act_on_word
 
 
 def from_rows(dense_rows) -> ExactMatrix:
@@ -81,6 +80,14 @@ def reference_ce_differential(algebra, k: int) -> ExactMatrix:
         len(rows), comb(n, k), {key: v for key, v in entries.items() if v})
 
 
+def act_on_word(w1, w2, w):
+    """Z[w1,w2] applied to the word w: prefix replacement, or None."""
+    k = len(w2)
+    if w[:k] == w2:
+        return w1 + w[k:]
+    return None
+
+
 def reference_act_w(tg: dict, tp: dict) -> dict:
     """``words._act_w`` as ``add_into`` over one ``act_on_word`` call per
     (generator, word) pair: the same dict, items, order and value types."""
@@ -89,3 +96,31 @@ def reference_act_w(tg: dict, tp: dict) -> dict:
         for (w1, w2), cg in tg.items()
         for w, cw in tp.items()
         if (out := act_on_word(w1, w2, w)) is not None))
+
+
+def reference_action_cases(gens, targets, act, bracket, bracket_act=None):
+    """``linalg.action_cases`` with every kernel call made, empty inputs
+    included: the same cases, in the same order, with the same ``holds``."""
+    bracket_act = bracket_act or act
+
+    def or_none(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError:
+            return None
+
+    units = {g: {g: 1} for g in gens}
+    image = {(g, w): or_none(act, units[g], {w: 1}) for g in gens for w in targets}
+    for a, b in product(gens, repeat=2):
+        ab = or_none(bracket, units[a], units[b])
+        for w in targets:
+            ia, ib = image[a, w], image[b, w]
+            holds = None
+            if ab is not None and ia is not None and ib is not None:
+                try:
+                    rhs = act(units[a], ib)
+                    add_into(rhs, act(units[b], ia), -1)
+                    holds = bracket_act(ab, {w: 1}) == rhs
+                except ValueError:
+                    pass
+            yield a, b, w, holds

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import act_on_word
 from ladderie import extension, glinf, ladder, suites, words
 from ladderie.linalg import add_into, bilinear, commutator
 from ladderie.parsing import format_element, parse_word_element
@@ -38,7 +39,7 @@ def six_term_ladder(n, m, l, s):
 
 
 def six_term_words(w1, w2, w3, w4):
-    act = words.act_on_word
+    act = act_on_word
     terms = []
     for out, key, sign in ((act(w1, w2, w3), lambda o: (o, w4), 1),
                            (act(w2, w1, w4), lambda o: (w3, o), -1),
@@ -258,9 +259,9 @@ def test_word_product_acts_as_the_composed_prefix_replacements():
     for a, b in product(product(ws, repeat=2), repeat=2):
         ab = words.generator_product_words(*a, *b)
         for w in targets:
-            inner = words.act_on_word(*b, w)
-            composed = None if inner is None else words.act_on_word(*a, inner)
-            assert (None if ab is None else words.act_on_word(*ab, w)) == composed
+            inner = act_on_word(*b, w)
+            composed = None if inner is None else act_on_word(*a, inner)
+            assert (None if ab is None else act_on_word(*ab, w)) == composed
 
 
 def test_decomposition_tail_and_section_equal_the_old_step_sums():
@@ -287,10 +288,10 @@ def _ladder_off_by_one_second(n, m, l, s):
 
 def _words_off_by_one(branch):
     def mutant(w1, w2, w3, w4):
-        out = words.act_on_word(w1, w2, w3)
+        out = act_on_word(w1, w2, w3)
         if out is not None:
             return (out + ("a",) * (branch == 0), w4)
-        out = words.act_on_word(w4, w3, w2)
+        out = act_on_word(w4, w3, w2)
         if out is not None:
             return (w1, out + ("a",) * (branch == 1))
         return None

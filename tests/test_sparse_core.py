@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import act_on_word
 from ladderie.extension import (CElement, Cgen, alpha, alpha_on_generator, rho,
                                 rho_on_generators)
 from ladderie.glinf import E, GlElement, bracket_ee, generator_bracket_ee
 from ladderie.ladder import LieElement, Z, bracket, generator_bracket
 from ladderie.ladder_module import LadderPoly, TensorPoly, act, act_generator
 from ladderie.linalg import canonical
-from ladderie.words import (WordLieElement, WordPoly, act_on_word, act_word,
+from ladderie.words import (WordLieElement, WordPoly, act_word,
                             bracket_words, generator_bracket_words)
 
 coeffs = st.one_of(st.integers(-3, 3),

@@ -9,6 +9,9 @@ that no other test pins.  Regenerate them, from a commit whose reports are
 known to be right, with
 
     PYTHONPATH=src python3 tests/test_verify_golden.py
+
+The checks that call the generator seams directly are also compared, under
+the same mutants, with the element-level scans they replace.
 """
 
 import contextlib
@@ -16,9 +19,12 @@ import dataclasses
 import io
 import json
 import os
+import random
+from itertools import chain, product
 
 import pytest
 
+from helpers import act_on_word, reference_action_cases
 from ladderie import extension, glinf, ladder, ladder_module, suites, words
 from ladderie.cli import main
 from ladderie.linalg import add_into
@@ -45,7 +51,7 @@ def _ladder_drop_first(n, m, l, s):
 
 
 def _words_drop_first(w1, w2, w3, w4):
-    act = words.act_on_word
+    act = act_on_word
     o2, o3, o4 = act(w2, w1, w4), act(w3, w4, w1), act(w4, w3, w2)
     terms = [(o2 is not None, (w3, o2), -1),
              (o3 is not None, (o3, w2), -1),
@@ -202,6 +208,141 @@ def test_a_value_error_in_a_representation_case_is_a_fail(monkeypatch, capsys, m
     out, err = capsys.readouterr()
     assert "FAIL %s (bound %d): %s\n" % (result.name, BOUND, counterexample) in out
     assert err == ""
+
+
+# -- the element-level scans that the seam windows replace ---------------------
+
+
+def _antisymmetric(bracket, a, b):
+    return (bracket(a, b) + bracket(b, a)).is_zero()
+
+
+def reference_bracket_antisymmetry(bound):
+    pairs = suites._pairs(bound)
+    rng = random.Random(101)
+    randoms = ((suites._random_lie(rng, 2 * bound, 4, 2), suites._random_lie(rng, 2 * bound, 4, 2))
+               for _ in range(50))
+    return suites._verdict("bracket.antisymmetry",
+                           "%d generator pairs and 50 random combinations" % len(pairs), chain(
+        (("generator window %d" % bound, "[Z[%d,%d],Z[%d,%d]]" % (n, m, l, s))
+         for (n, m), (l, s) in pairs
+         if not _antisymmetric(ladder.bracket, ladder.Z(n, m), ladder.Z(l, s))),
+        (("random combinations", str(a)) for a, b in randoms
+         if not _antisymmetric(ladder.bracket, a, b))))
+
+
+def reference_bracket_grading(bound):
+    pairs = suites._pairs(bound)
+    return suites._verdict("bracket.grading", "%d pairs" % len(pairs), (
+        ("window %d" % bound, "[Z[%d,%d],Z[%d,%d]] = %s" % (n, m, l, s, r))
+        for (n, m), (l, s) in pairs
+        if not (r := ladder.bracket(ladder.Z(n, m), ladder.Z(l, s))).is_zero()
+        and ladder.degree(r) != (n - m) + (l - s)))
+
+
+def reference_bracket_y_derivation(bound):
+    pairs = suites._pairs(bound)
+
+    def failures():
+        for (n, m), (l, s) in pairs:
+            a, b = ladder.Z(n, m), ladder.Z(l, s)
+            lhs = ladder.bracket(ladder.Y, ladder.bracket(a, b))
+            rhs = (ladder.bracket(ladder.bracket(ladder.Y, a), b)
+                   + ladder.bracket(a, ladder.bracket(ladder.Y, b)))
+            if lhs != rhs:
+                yield "window %d" % bound, "Z[%d,%d], Z[%d,%d]" % (n, m, l, s)
+    return suites._verdict("bracket.y_derivation", "%d pairs" % len(pairs), failures())
+
+
+def reference_glinf_bracket_embedding(bound):
+    pairs = suites._pairs(bound)
+    return suites._verdict("glinf.bracket_embedding", "%d unit pairs" % len(pairs), (
+        ("window %d" % bound, "E[%d,%d], E[%d,%d]" % (i, j, r, k))
+        for (i, j), (r, k) in pairs
+        if glinf.express_in_e(ladder.bracket(glinf.embed_to_z(glinf.E(i, j)),
+                                             glinf.embed_to_z(glinf.E(r, k))))
+        != glinf.bracket_ee(glinf.E(i, j), glinf.E(r, k))))
+
+
+def reference_z_e_brackets(bound):
+    for (n, m), (i, j) in product(suites._square(bound), repeat=2):
+        br = ladder.bracket(ladder.Z(n, m), glinf.embed_to_z(glinf.E(i, j)))
+        yield "[Z[%d,%d], E[%d,%d]]" % (n, m, i, j), glinf.express_in_e(br)
+
+
+def reference_glinf_derived(bound):
+    pairs = suites._pairs(bound)
+    return suites._verdict("glinf.derived_subalgebra",
+                           "%d generator brackets land in the ideal" % len(pairs), (
+        ("window %d" % bound, "[Z[%d,%d],Z[%d,%d]]" % (n, m, l, s))
+        for (n, m), (l, s) in pairs
+        if glinf.express_in_e(ladder.bracket(ladder.Z(n, m), ladder.Z(l, s))) is None))
+
+
+def reference_ext_reconstruction(bound):
+    pairs = suites._pairs(bound)
+
+    def failures():
+        for (n, m), (l, s) in pairs:
+            a, b = ladder.Z(n, m), ladder.Z(l, s)
+            xa, xb = extension.project_to_c(a), extension.project_to_c(b)
+            xia = glinf.express_in_e(a - extension.section_s(xa))
+            xib = glinf.express_in_e(b - extension.section_s(xb))
+            if xia is None or xib is None:
+                yield "window %d" % bound, "section residue not in ideal"
+                continue
+            res = extension.ext_bracket(extension.ExtElement(xia, xa),
+                                        extension.ExtElement(xib, xb))
+            rebuilt = glinf.embed_to_z(res.xi) + extension.section_s(res.x)
+            if rebuilt != ladder.bracket(a, b):
+                yield "window %d" % bound, "Z[%d,%d], Z[%d,%d]" % (n, m, l, s)
+    return suites._verdict("ext.reconstruction",
+                           "%d generator pairs rebuilt through (alpha, rho)" % len(pairs),
+                           failures())
+
+
+def reference_words_antisymmetry(bound):
+    gens = suites._word_generators(suites._two_letter_alphabet(), 2)
+    return suites._verdict("words.antisymmetry", "%d generator pairs" % (len(gens) ** 2), (
+        ("words of length <= 2", "%r, %r" % (g, h)) for g, h in product(gens, repeat=2)
+        if not _antisymmetric(words.bracket_words, words.Zw(*g), words.Zw(*h))))
+
+
+REFERENCE_SCANS = {
+    "check_bracket_antisymmetry": reference_bracket_antisymmetry,
+    "check_bracket_grading": reference_bracket_grading,
+    "check_bracket_y_derivation": reference_bracket_y_derivation,
+    "check_glinf_bracket_embedding": reference_glinf_bracket_embedding,
+    "check_glinf_derived": reference_glinf_derived,
+    "check_ext_reconstruction": reference_ext_reconstruction,
+    "check_words_antisymmetry": reference_words_antisymmetry,
+}
+
+#: Checks that run a shared window, compared with the reference window
+#: (``reference_z_e_brackets`` or ``helpers.reference_action_cases``) patched in.
+WINDOW_CHECKS = ("check_glinf_ideal", "check_glinf_traceless",
+                 "check_words_action_representation", "check_module_representation",
+                 "check_ext_cocycles")
+
+
+@pytest.mark.parametrize("mutant", [None, *sorted(MUTANTS), *sorted(RAISING_MUTANTS)])
+def test_seam_windows_equal_the_element_scans(monkeypatch, mutant):
+    """The same CheckResult as the element-level scan or window each check
+    replaces, at bounds 1 to 3, unpatched and under every seam mutant."""
+    if mutant is not None:
+        monkeypatch.setattr(*{**MUTANTS, **RAISING_MUTANTS}[mutant])
+    for bound in (1, 2, 3):
+        fast = {fn: getattr(suites, fn)(bound) for fn in (*REFERENCE_SCANS, *WINDOW_CHECKS)}
+        if mutant is None:
+            assert all(r.passed for r in fast.values())
+        for fn, reference in REFERENCE_SCANS.items():
+            assert reference(bound) == fast[fn], (fn, bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, "_z_e_brackets", reference_z_e_brackets)
+            for module in (suites, ladder_module, extension):
+                patch.setattr(module, "action_cases", reference_action_cases)
+            for fn in WINDOW_CHECKS:
+                assert getattr(suites, fn)(bound) == fast[fn], (fn, bound)
 
 
 def _failing_checks():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_act_w
+from helpers import act_on_word, reference_act_w
 from ladderie import extension, glinf, ladder, ladder_module, linalg, suites, words
 from ladderie.extension import CocycleReport
 from ladderie.ladder_module import ActionReport
@@ -39,7 +39,7 @@ def reference_bracket_jacobi(bound):
                 add_into(acc, ladder._bracket_z(ladder._bracket_z(zc, za), zb))
                 if acc:
                     return CheckResult(name, False, "exhaustive window %d" % bound,
-                                       "Z%s, Z%s, Z%s" % (a, b, c))
+                                       "Z[%d,%d], Z[%d,%d], Z[%d,%d]" % (*a, *b, *c))
     return CheckResult(name, True, "%d generator triples" % count)
 
 
@@ -166,7 +166,7 @@ def _ladder_drop(skip):
 
 def _words_drop(skip):
     def mutant(w1, w2, w3, w4):
-        act = words.act_on_word
+        act = act_on_word
         o1, o2, o3, o4 = act(w1, w2, w3), act(w2, w1, w4), act(w3, w4, w1), act(w4, w3, w2)
         terms = [(o1 is not None, (o1, w4), 1),
                  (o2 is not None, (w3, o2), -1),
@@ -313,29 +313,34 @@ def test_act_w_equals_the_reference_loop(tg, tp):
 
 
 def test_jacobi_window_sees_only_ints():
-    """The window brackets int unit dicts and gets ints back: no Fraction is
-    made inside it, for the ladder and for the word kernel."""
+    """The window gets int dicts from the ladder and the word generator
+    brackets, so no Fraction is made inside it."""
     seen = []
 
-    def recording(kernel):
-        def bracket_terms(ta, tb):
-            out = kernel(ta, tb)
-            seen.extend(type(v) for d in (ta, tb, out) for v in d.values())
+    def recording(seam):
+        def bracket(*indices):
+            out = seam(*indices)
+            seen.extend(type(v) for v in out.values())
             return out
-        return bracket_terms
+        return bracket
 
     ladder_gens = [(n, m) for n in range(3) for m in range(3)]
-    assert suites._jacobi_window(ladder_gens, recording(ladder._bracket_z)) is None
+    assert suites._jacobi_window(ladder_gens, recording(ladder.generator_bracket)) is None
     word_gens = _word_generators(_two_letter_alphabet(), 1)
-    assert suites._jacobi_window(word_gens, recording(words._bracket_w)) is None
+    assert suites._jacobi_window(word_gens, recording(words.generator_bracket_words)) is None
     assert seen and set(seen) == {int}
 
 
 # -- the rotation-class Jacobi scan and the tabulated iota bracket check ------
 
 
-def reference_jacobi_window(gens, bracket_terms):
-    """The full nested scan the rotation-class scan replaces: every triple."""
+def reference_jacobi_window(gens, bracket):
+    """The full nested scan the rotation-class scan replaces: every triple,
+    on unit dicts bracketed by the generator bracket ``bracket`` extended
+    bilinearly."""
+    def bracket_terms(ta, tb):
+        return linalg.bilinear(bracket, ta, tb)
+
     units = {g: {g: 1} for g in gens}
     table = {(a, b): bracket_terms(units[a], units[b]) for a in gens for b in gens}
     for a in gens:
@@ -353,14 +358,14 @@ def reference_jacobi_window(gens, bracket_terms):
 @pytest.mark.parametrize("bound", [1, 2, 3, 4])
 def test_rotation_scan_equals_the_full_scan_on_the_ladder(bound):
     gens = [(n, m) for n in range(bound + 1) for m in range(bound + 1)]
-    assert suites._jacobi_window(gens, ladder._bracket_z) is None
-    assert reference_jacobi_window(gens, ladder._bracket_z) is None
+    assert suites._jacobi_window(gens, ladder.generator_bracket) is None
+    assert reference_jacobi_window(gens, ladder.generator_bracket) is None
 
 
 def test_rotation_scan_equals_the_full_scan_on_words():
     gens = _word_generators(_two_letter_alphabet(), 2)
-    assert suites._jacobi_window(gens, words._bracket_w) is None
-    assert reference_jacobi_window(gens, words._bracket_w) is None
+    assert suites._jacobi_window(gens, words.generator_bracket_words) is None
+    assert reference_jacobi_window(gens, words.generator_bracket_words) is None
 
 
 def test_rotation_scan_tries_each_rotation_class_once():
@@ -371,13 +376,13 @@ def test_rotation_scan_tries_each_rotation_class_once():
     gens = [(n, m) for n in range(3) for m in range(3)]
     calls = []
 
-    def counting(ta, tb):
-        calls.append((ta, tb))
-        return ladder._bracket_z(ta, tb)
+    def counting(*indices):
+        calls.append(indices)
+        return ladder.generator_bracket(*indices)
 
     assert suites._jacobi_window(gens, counting) is None
     n = len(gens)
-    assert all(len(ta) == len(tb) == 1 for ta, tb in calls)
+    assert all(indices[2:] in gens for indices in calls)
     assert len(calls) == 204 < n * n + (n ** 3 + 2 * n)
 
 
@@ -437,8 +442,8 @@ def test_rotation_scan_equals_the_full_scan_under_seeded_mutants(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(words, "generator_bracket_words",
                           _seeded_mutant(words_original, seed, _word_size))
-            fast = suites._jacobi_window(word_gens, words._bracket_w)
-            assert fast == reference_jacobi_window(word_gens, words._bracket_w)
+            fast = suites._jacobi_window(word_gens, words.generator_bracket_words)
+            assert fast == reference_jacobi_window(word_gens, words.generator_bracket_words)
             words_passed.append(fast is None)
             if seed < 8:
                 with monkeypatch.context() as reference:

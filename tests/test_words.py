@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
+from helpers import act_on_word
 from ladderie import ladder, ladder_module, words
 from ladderie.words import (Alphabet, Letter, WordPoly, Zw,
-                            act_on_word, act_word, alphabet_from_json,
+                            act_word, alphabet_from_json,
                             alphabet_to_json, bracket_words, check_iota_action,
                             check_iota_bracket, generator_bracket_words, iota_h,
                             iota_l, word_coproduct, word_poly_coproduct)
