@@ -16,7 +16,6 @@ import sys
 
 from . import cohomology, extension, glinf, ladder, ladder_module, parsing, suites, words
 from .linalg import int_from_json, scalar_from_json, scalar_to_str
-from .parsing import ParseError
 
 
 def _read_expr(text: str) -> str:
@@ -55,7 +54,7 @@ def _cmd_bracket(args) -> int:
     a = parsing.parse_element(_read_expr(args.a))
     b = parsing.parse_element(_read_expr(args.b))
     if type(a) is not type(b) or type(a) not in _BRACKETS:
-        raise ParseError("bracket needs two Z/Y elements or two E elements", 0)
+        raise ValueError("bracket needs two Z/Y elements or two E elements")
     return _value(args, _BRACKETS[type(a)](a, b))
 
 
@@ -158,11 +157,11 @@ def _cmd_cohomology_betti(args) -> int:
             algebra = _algebra_from_json(json.load(handle))
     elif args.algebra == "gl":
         if args.n is None:
-            raise ParseError("--n is required with --algebra gl", 0)
+            raise ValueError("--n is required with --algebra gl")
         cohomology.check_cochain_limit(max(args.n, 0) ** 2)
         algebra = cohomology.truncate_gl(args.n)
     else:
-        raise ParseError("unknown algebra %r" % args.algebra, 0)
+        raise ValueError("unknown algebra %r" % args.algebra)
     table = cohomology.betti_numbers(algebra)
     return _emit(args, "value", dataclasses.asdict(table), "betti = %s" % (list(table.betti),))
 

@@ -99,7 +99,9 @@ def ce_differential(algebra: FiniteLieAlgebra, k: int) -> ExactMatrix:
 
     A subset is also carried as the int bitmask of its members: removing
     x_p and x_q is two xors, and the sign of inserting b into the rest is
-    the parity of the members below b, a popcount."""
+    the parity of the members below b, a popcount.  The brackets are read
+    from a flat list indexed by i * dim + j, as (bit of b, c) pairs, and
+    each row sums its terms by column before any entry is written."""
     n = algebra.dim
     if not 0 <= k <= n:
         raise ValueError("cochain degree %s out of range" % (k,))
@@ -107,23 +109,28 @@ def ce_differential(algebra: FiniteLieAlgebra, k: int) -> ExactMatrix:
              for p in range(k + 1) for q in range(p + 1, k + 1)]
     bits = [1 << i for i in range(n)]
     cols = {sum(map(bits.__getitem__, S)): c for c, S in enumerate(combinations(range(n), k))}
+    flat = [None] * (n * n)
+    for (i, j), br in algebra.structure.items():
+        flat[i * n + j] = [(bits[b], c) for b, c in br.items()]
     entries: dict = {}
     for r, S in enumerate(combinations(range(n), k + 1)):
         mask = sum(map(bits.__getitem__, S))
+        row: dict = {}
         for p, q, sign_pq in pairs:
-            br = algebra.structure.get((S[p], S[q]))
+            br = flat[S[p] * n + S[q]]
             if br is None:
                 continue
             rest = mask ^ bits[S[p]] ^ bits[S[q]]
-            for b, c in br.items():
-                bit = bits[b]
+            for bit, c in br:
                 if rest & bit:
                     continue
-                key = (r, cols[rest | bit])
+                col = cols[rest | bit]
                 sgn = -sign_pq if (rest & (bit - 1)).bit_count() % 2 else sign_pq
-                entries[key] = entries.get(key, 0) + sgn * c
-    return ExactMatrix._from_canonical(
-        comb(n, k + 1), comb(n, k), {key: v for key, v in entries.items() if v})
+                row[col] = row.get(col, 0) + sgn * c
+        for col, v in row.items():
+            if v:
+                entries[r, col] = v
+    return ExactMatrix._from_canonical(comb(n, k + 1), comb(n, k), entries)
 
 
 @dataclass(frozen=True)
@@ -213,8 +220,13 @@ def h1_degree_functional(bound: int, with_y: bool = False) -> H1Report:
     rows = []
     for n, m in gens:
         for l, s in gens:
-            br = ladder.generator_bracket(n, m, l, s)
-            class_sum = add_into({}, ((a - b, c) for (a, b), c in br.items()))
+            class_sum: dict = {}
+            for (a, b), c in ladder.generator_bracket(n, m, l, s).items():
+                v = class_sum.get(a - b, 0) + c
+                if v:
+                    class_sum[a - b] = v
+                else:
+                    del class_sum[a - b]
             if class_sum:
                 rows.append({column(d): c for d, c in class_sum.items()})
     if with_y:

@@ -329,18 +329,21 @@ def _rref(row_dicts: Sequence[Mapping], exclude=frozenset(), track=False):
 
     Pivot columns are visited in increasing order (columns in ``exclude``
     never pivot); among candidate rows the sparsest wins, ties by position,
-    which keeps the output deterministic.  Returns ``(rows, pivots, trans)``
+    which keeps the output deterministic.  An index from each column to the
+    rows holding it, updated as rows change, finds those rows without a scan.  Returns ``(rows, pivots, trans)``
     with ``pivots`` a list of (column, row index) pairs and, when ``track``,
     ``trans[i]`` expressing output row i as a combination of input rows.
     """
     rows = [dict(r) for r in row_dicts]
-    m = len(rows)
-    trans = [{i: 1} for i in range(m)] if track else None
+    trans = [{i: 1} for i in range(len(rows))] if track else None
     pivots = []
     pivoted = set()
-    all_cols = sorted({c for r in rows for c in r if c not in exclude})
-    for col in all_cols:
-        cand = [i for i in range(m) if i not in pivoted and col in rows[i]]
+    holders = defaultdict(set)  # column -> indices of the rows holding it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
+    for col in sorted(holders.keys() - exclude):
+        cand = holders[col] - pivoted
         if not cand:
             continue
         i0 = min(cand, key=lambda i: (len(rows[i]), i))
@@ -353,13 +356,15 @@ def _rref(row_dicts: Sequence[Mapping], exclude=frozenset(), track=False):
                 trans[i0] = {c: v * inv for c, v in trans[i0].items()}
         prow = rows[i0]
         ptr = trans[i0] if track else None
-        for i in range(m):
-            if i == i0:
-                continue
-            v = rows[i].get(col)
-            if v is None:
-                continue
-            add_into(rows[i], prow, -v)
+        for i in holders[col] - {i0}:
+            row = rows[i]
+            v = row[col]
+            add_into(row, prow, -v)
+            for c in prow:
+                if c in row:
+                    holders[c].add(i)
+                else:
+                    holders[c].discard(i)
             if track:
                 add_into(trans[i], ptr, -v)
         pivots.append((col, i0))
@@ -375,7 +380,9 @@ def rank(matrix: ExactMatrix) -> int:
     shortest vectors go first.  Each is scaled to integers and reduced
     against the pivots found so far on its leading coordinate,
     cross-multiplied by the gcd-reduced pivot factors; a vector that survives
-    is divided by its content and becomes the pivot of that coordinate.
+    is divided by its content, signed so that its leading entry is positive,
+    and becomes the pivot of that coordinate; a pivot that leads with 1 is
+    subtracted with no gcd and no rescaling.
     """
     side = int(matrix.cols < matrix.rows)
     count = Counter(key[1 - side] for key in matrix.entries)
@@ -397,16 +404,19 @@ def rank(matrix: ExactMatrix) -> int:
             prow = pivots.get(lead)
             if prow is None:
                 content = gcd(*row.values())
+                if row[lead] < 0:
+                    content = -content
                 if content != 1:
                     row = {c: v // content for c, v in row.items()}
                 pivots[lead] = row
                 break
             a, b = row[lead], prow[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
             # row <- b*row - a*prow, which cancels the leading entry
             if b != 1:
-                row = {c: b * v for c, v in row.items()}
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if b != 1:
+                    row = {c: b * v for c, v in row.items()}
             for c, v in prow.items():
                 new = row.get(c, 0) - a * v
                 if new:

@@ -7,10 +7,13 @@ small fixtures and to check results.  pytest does not collect this file.
 """
 
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
-from ladderie.linalg import ExactMatrix, add_into, exact_scalar
+from ladderie import ladder
+from ladderie.cohomology import H1Report
+from ladderie.linalg import ExactMatrix, _rref, add_into, exact_scalar, kernel_rows
 
 
 def from_rows(dense_rows) -> ExactMatrix:
@@ -78,6 +81,73 @@ def reference_ce_differential(algebra, k: int) -> ExactMatrix:
                 entries[key] = entries.get(key, 0) + sgn * c
     return ExactMatrix._from_canonical(
         len(rows), comb(n, k), {key: v for key, v in entries.items() if v})
+
+
+def reference_rref(row_dicts, exclude=frozenset(), track=False):
+    """``linalg._rref`` scanning every row for each pivot column: the same
+    rows, pivots and ``trans``."""
+    rows = [dict(r) for r in row_dicts]
+    m = len(rows)
+    trans = [{i: 1} for i in range(m)] if track else None
+    pivots = []
+    pivoted = set()
+    all_cols = sorted({c for r in rows for c in r if c not in exclude})
+    for col in all_cols:
+        cand = [i for i in range(m) if i not in pivoted and col in rows[i]]
+        if not cand:
+            continue
+        i0 = min(cand, key=lambda i: (len(rows[i]), i))
+        pivoted.add(i0)
+        pv = rows[i0][col]
+        if pv != 1:
+            inv = Fraction(pv.denominator, pv.numerator)
+            rows[i0] = {c: v * inv for c, v in rows[i0].items()}
+            if track:
+                trans[i0] = {c: v * inv for c, v in trans[i0].items()}
+        prow = rows[i0]
+        ptr = trans[i0] if track else None
+        for i in range(m):
+            if i == i0:
+                continue
+            v = rows[i].get(col)
+            if v is None:
+                continue
+            add_into(rows[i], prow, -v)
+            if track:
+                add_into(trans[i], ptr, -v)
+        pivots.append((col, i0))
+    return rows, pivots, trans
+
+
+def reference_h1_degree_functional(bound: int, with_y: bool = False) -> H1Report:
+    """``cohomology.h1_degree_functional`` summing each pair's degree
+    classes with ``add_into`` over a generator, without its size guard: the
+    same report.  ``ladder.generator_bracket`` is looked up at call time."""
+    window = list(range(-bound, bound + 1))
+    col_of = {d: i for i, d in enumerate(window)}
+
+    def column(d):
+        return col_of.setdefault(d, len(col_of))
+
+    gens = [(n, m) for n in range(bound + 1) for m in range(bound + 1)]
+    rows = []
+    for n, m in gens:
+        for l, s in gens:
+            br = ladder.generator_bracket(n, m, l, s)
+            class_sum = add_into({}, ((a - b, c) for (a, b), c in br.items()))
+            if class_sum:
+                rows.append({column(d): c for d, c in class_sum.items()})
+    if with_y:
+        for n, m in gens:
+            if n != m:
+                rows.append({column(n - m): n - m})
+    kernel = kernel_rows(rows, len(col_of))
+    reduced, pivots, _ = _rref([{c: v for c, v in vec.items() if c < len(window)}
+                                for vec in kernel])
+    basis = []
+    for _, i in pivots:
+        basis.append({window[c]: v for c, v in sorted(reduced[i].items())})
+    return H1Report(len(pivots), bound, with_y, tuple(basis))
 
 
 def act_on_word(w1, w2, w):

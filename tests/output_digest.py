@@ -6,15 +6,20 @@ It runs every request of the benchmark's cli-mix stream for each seed
 (``perfbench/workloads.py``; 960 requests a seed), ``verify --bound B`` for
 each bound and ``cohomology betti --n N`` for N = 1..4, whose ``--json``
 payload carries the ranks of every differential, each in text and with
-``--json``, through ``cli.main`` of the package under ``src`` next to this
-file.  Each response is its exit code, stdout and stderr.  It prints one
-digest per seed, one per cli-mix request kind (over all seeds), one per
-bound, one per gl(N), then one over all of them; two trees
+``--json``; then ``cohomology h1 --bound B --json`` with and without
+``--with-y`` for B = 6, 8, 10, and ``cohomology betti --structure`` in text
+and with ``--json`` on gl(2) with every structure constant halved, whose
+differentials carry Fractions; all through ``cli.main`` of the package
+under ``src`` next to this file.  Each response is its exit code, stdout
+and stderr.  It prints one digest per seed, one per cli-mix request kind
+(over all seeds), one per bound, one per gl(N), one per h1 bound, one for
+the structure file, then one over all of them; two trees
 print the same lines exactly when every response is the same, and a change
 confined to one kind of request changes that kind's line and no other
 kind's.  Run it in each tree and compare the output.  The
-alphabet file goes to a temporary directory under a relative path, so no
-path of this run can reach a response.  pytest does not collect this file.
+alphabet and structure files go to a temporary directory under relative
+paths, so no path of this run can reach a response.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -27,12 +32,32 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
-from ladderie import cli  # noqa: E402
+from ladderie import cli, cohomology, linalg  # noqa: E402
+
+#: gl(2) with every structure constant halved, as a ``--structure`` file.
+HALF_GL2 = {"labels": list(cohomology.truncate_gl(2).basis_labels),
+            "brackets": [{"i": i, "j": j, "terms": [
+                {"k": k, "c": linalg.scalar_to_str(Fraction(c, 2))}
+                for k, c in vec.items()]}
+                for (i, j), vec in cohomology.truncate_gl(2).structure.items()]}
+
+
+@contextlib.contextmanager
+def in_temporary_directory():
+    """Run the block in a new temporary directory, then return."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            yield
+        finally:
+            os.chdir(here)
 
 
 def responses(argvs):
@@ -68,17 +93,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     total = hashlib.sha256()
     by_kind = {kind: [hashlib.sha256(), 0] for kind in workloads.KINDS}
-    with tempfile.TemporaryDirectory() as workdir:
-        here = os.getcwd()
-        os.chdir(workdir)
-        try:
-            mix = workloads.CliMix()
-            for seed in args.seeds:
-                mix.prepare(seed, os.curdir)
-                requests = [(kind, argv) for kind, argv, _ in mix.mix]
-                print("cli-mix seed %d: %s" % (seed, digest(requests, total, by_kind)))
-        finally:
-            os.chdir(here)
+    with in_temporary_directory():
+        mix = workloads.CliMix()
+        for seed in args.seeds:
+            mix.prepare(seed, os.curdir)
+            requests = [(kind, argv) for kind, argv, _ in mix.mix]
+            print("cli-mix seed %d: %s" % (seed, digest(requests, total, by_kind)))
     for kind, (part, count) in by_kind.items():
         print("cli-mix kind %s: %s  %d responses" % (kind, part.hexdigest(), count))
     for bound in args.bounds:
@@ -88,6 +108,16 @@ def main(argv=None) -> int:
         requests = [(None, ["cohomology", "betti", "--n", str(n)] + flag)
                     for flag in ([], ["--json"])]
         print("cohomology betti n %d: %s" % (n, digest(requests, total)))
+    for bound in (6, 8, 10):
+        requests = [(None, ["cohomology", "h1", "--bound", str(bound)] + flag + ["--json"])
+                    for flag in ([], ["--with-y"])]
+        print("cohomology h1 bound %d: %s" % (bound, digest(requests, total)))
+    with in_temporary_directory():
+        with open("half_gl2.json", "w", encoding="utf-8") as handle:
+            json.dump(HALF_GL2, handle)
+        requests = [(None, ["cohomology", "betti", "--structure", "half_gl2.json"] + flag)
+                    for flag in ([], ["--json"])]
+        print("cohomology betti half-scaled gl(2): %s" % digest(requests, total))
     print("total: %s" % total.hexdigest())
     return 0
 

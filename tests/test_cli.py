@@ -31,6 +31,15 @@ def test_bracket_mixed_families_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bracket", "Z[1,0]", "E[0,0]"], "bracket needs two Z/Y elements or two E elements"),
+    (["cohomology", "betti", "--algebra", "gl"], "--n is required with --algebra gl"),
+    (["cohomology", "betti", "--algebra", "abelian"], "unknown algebra 'abelian'"),
+], ids=["bracket-mixed", "betti-no-n", "betti-unknown-algebra"])
+def test_usage_errors_outside_an_expression_name_no_position(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
 def test_json_output_schema(capsys):
     code, out, _ = run(capsys, "degree", "Z[3,1]", "--json")
     assert code == 0

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from helpers import bracket_vectors, from_rows, reference_ce_differential, transpose
+from helpers import (bracket_vectors, from_rows, reference_ce_differential, reference_rref,
+                     transpose)
 from ladderie.cohomology import (MAX_COCHAINS, FiniteLieAlgebra,
                                  abelian_algebra, betti_numbers,
                                  ce_differential, h1_degree_functional,
@@ -182,6 +183,27 @@ def test_rank_matches_rref_on_gl3_differentials():
             t = transpose(m)
             shorter = m if m.rows <= m.cols else t
             assert rank(m) == rank(t) == len(_rref(shorter.row_dicts())[1])
+
+
+def test_rref_matches_the_row_scan_reference_on_gl_differentials():
+    """Rows, pivots and ``trans`` of ``_rref`` equal the reference's on
+    every gl(3) differential, both orientations, and on gl(4) d_4."""
+    g3 = truncate_gl(3)
+    matrices = [m for k in range(10) for m in (ce_differential(g3, k),
+                                               transpose(ce_differential(g3, k)))]
+    for m in matrices + [ce_differential(truncate_gl(4), 4)]:
+        rows = m.row_dicts()
+        assert _rref(rows, track=True) == reference_rref(rows, track=True)
+
+
+def test_rank_of_negated_gl4_differentials():
+    """Scaled by -1, every pivot of d_4 and d_5 leads negative before
+    ``rank`` normalises it."""
+    g4 = truncate_gl(4)
+    for k, expected in ((4, 1365), (5, 3002)):
+        m = ce_differential(g4, k)
+        negated = ExactMatrix(m.rows, m.cols, {key: -v for key, v in m.entries.items()})
+        assert rank(negated) == rank(m) == expected
 
 
 def _half_scaled_gl2():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import from_rows, identity, mul_vec, transpose
+from helpers import from_rows, identity, mul_vec, reference_rref, transpose
 from ladderie.cohomology import h1_degree_functional
 from ladderie.ladder import LieElement, centralizer_basis
 from ladderie.linalg import (ExactMatrix, Infeasible, _rref, add_into, canonical, exact_scalar,
@@ -258,6 +258,28 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rank_matches_rref_reference(m):
     assert rank(m) == len(_rref(m.row_dicts())[1])
+
+
+@settings(deadline=None, max_examples=200)
+@given(rational_matrices(), st.booleans())
+def test_rref_matches_the_row_scan_reference(m, exclude_last):
+    """The column index gives the rows, pivots and ``trans`` of the scan
+    over every row, also with a column that never pivots."""
+    rows = m.row_dicts()
+    exclude = {m.cols - 1} if exclude_last else frozenset()
+    assert _rref(rows, exclude, track=True) == reference_rref(rows, exclude, track=True)
+
+
+@settings(deadline=None, max_examples=100)
+@given(rational_matrices())
+def test_rank_with_negative_leading_entries(m):
+    """``rank`` keeps each pivot's leading entry positive; negating a
+    matrix makes every leading entry that was positive negative."""
+    negated = ExactMatrix(m.rows, m.cols, {key: -v for key, v in m.entries.items()})
+    assert rank(negated) == rank(transpose(negated)) == rank(m)
+    assert rank(from_rows([[-1, 2, 0], [-2, 1, 3], [-3, 3, 3]])) == 2
+    assert rank(from_rows([[-2, 4], [3, -6]])) == 1
+    assert rank(from_rows([[-3, 1], [2, -1]])) == 2
 
 
 @settings(deadline=None, max_examples=100)

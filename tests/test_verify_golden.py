@@ -11,7 +11,8 @@ known to be right, with
     PYTHONPATH=src python3 tests/test_verify_golden.py
 
 The checks that call the generator seams directly are also compared, under
-the same mutants, with the element-level scans they replace.
+the same mutants, with the element-level scans they replace, and
+``cohomology.h1_degree_functional`` with its ``add_into`` row loop.
 """
 
 import contextlib
@@ -24,8 +25,8 @@ from itertools import chain, product
 
 import pytest
 
-from helpers import act_on_word, reference_action_cases
-from ladderie import extension, glinf, ladder, ladder_module, suites, words
+from helpers import act_on_word, reference_action_cases, reference_h1_degree_functional
+from ladderie import cohomology, extension, glinf, ladder, ladder_module, suites, words
 from ladderie.cli import main
 from ladderie.linalg import add_into
 
@@ -343,6 +344,18 @@ def test_seam_windows_equal_the_element_scans(monkeypatch, mutant):
                 patch.setattr(module, "action_cases", reference_action_cases)
             for fn in WINDOW_CHECKS:
                 assert getattr(suites, fn)(bound) == fast[fn], (fn, bound)
+
+
+@pytest.mark.parametrize("mutant", [None, "ladder-drop-0", "theta-flip",
+                                    "ladder-bracket-leaves"])
+def test_h1_equals_the_add_into_reference(monkeypatch, mutant):
+    """Inline class sums give the report of the ``add_into`` row loop at
+    bounds 1 to 8, with and without Y, unpatched and under the ladder seams."""
+    if mutant is not None:
+        monkeypatch.setattr(*{**MUTANTS, **RAISING_MUTANTS}[mutant])
+    for bound, with_y in product(range(1, 9), (False, True)):
+        assert (cohomology.h1_degree_functional(bound, with_y)
+                == reference_h1_degree_functional(bound, with_y)), (bound, with_y)
 
 
 def _failing_checks():
