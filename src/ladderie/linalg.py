@@ -330,9 +330,10 @@ def _rref(row_dicts: Sequence[Mapping], exclude=frozenset(), track=False):
     Pivot columns are visited in increasing order (columns in ``exclude``
     never pivot); among candidate rows the sparsest wins, ties by position,
     which keeps the output deterministic.  An index from each column to the
-    rows holding it, updated as rows change, finds those rows without a scan.  Returns ``(rows, pivots, trans)``
-    with ``pivots`` a list of (column, row index) pairs and, when ``track``,
-    ``trans[i]`` expressing output row i as a combination of input rows.
+    rows holding it, updated as rows change, finds those rows without a scan.
+    Returns ``(rows, pivots, trans)`` with ``pivots`` a list of (column, row
+    index) pairs and, when ``track``, ``trans[i]`` expressing output row i
+    as a combination of input rows.
     """
     rows = [dict(r) for r in row_dicts]
     trans = [{i: 1} for i in range(len(rows))] if track else None

@@ -40,12 +40,14 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import workloads  # noqa: E402
 from ladderie import cli, cohomology, linalg  # noqa: E402
 
-#: gl(2) with every structure constant halved, as a ``--structure`` file.
-HALF_GL2 = {"labels": list(cohomology.truncate_gl(2).basis_labels),
+
+def half_gl2() -> dict:
+    """gl(2) with every structure constant halved, as a ``--structure`` file."""
+    g2 = cohomology.truncate_gl(2)
+    return {"labels": list(g2.basis_labels),
             "brackets": [{"i": i, "j": j, "terms": [
-                {"k": k, "c": linalg.scalar_to_str(Fraction(c, 2))}
-                for k, c in vec.items()]}
-                for (i, j), vec in cohomology.truncate_gl(2).structure.items()]}
+                {"k": k, "c": linalg.scalar_to_str(Fraction(c, 2))} for k, c in vec.items()]}
+                for (i, j), vec in g2.structure.items()]}
 
 
 @contextlib.contextmanager
@@ -114,7 +116,7 @@ def main(argv=None) -> int:
         print("cohomology h1 bound %d: %s" % (bound, digest(requests, total)))
     with in_temporary_directory():
         with open("half_gl2.json", "w", encoding="utf-8") as handle:
-            json.dump(HALF_GL2, handle)
+            json.dump(half_gl2(), handle)
         requests = [(None, ["cohomology", "betti", "--structure", "half_gl2.json"] + flag)
                     for flag in ([], ["--json"])]
         print("cohomology betti half-scaled gl(2): %s" % digest(requests, total))

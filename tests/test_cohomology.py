@@ -197,8 +197,8 @@ def test_rref_matches_the_row_scan_reference_on_gl_differentials():
 
 
 def test_rank_of_negated_gl4_differentials():
-    """Scaled by -1, every pivot of d_4 and d_5 leads negative before
-    ``rank`` normalises it."""
+    """d_4 and d_5 scaled by -1: each vector that ``rank`` stores with a
+    positive lead now arrives with a negative one."""
     g4 = truncate_gl(4)
     for k, expected in ((4, 1365), (5, 3002)):
         m = ce_differential(g4, k)
