@@ -22,6 +22,16 @@ def _read_expr(text: str) -> str:
     return sys.stdin.read() if text == "-" else text
 
 
+def _read_exprs(args, *names) -> list:
+    """The text of each named element argument, "-" read from stdin, which
+    can feed only one argument of a call."""
+    texts = [getattr(args, name) for name in names]
+    if texts.count("-") > 1:
+        raise ValueError("stdin ('-') can feed only one argument, not both %s" % " and ".join(
+            name for name, text in zip(names, texts) if text == "-"))
+    return [_read_expr(text) for text in texts]
+
+
 def _emit(args, status: str, payload, text) -> int:
     """Print ``payload`` as JSON under ``--json``, else ``text``; either may
     be a function of no arguments, called only if its form is printed."""
@@ -51,8 +61,7 @@ _BRACKETS = {ladder.LieElement: ladder.bracket, glinf.GlElement: glinf.bracket_e
 
 
 def _cmd_bracket(args) -> int:
-    a = parsing.parse_element(_read_expr(args.a))
-    b = parsing.parse_element(_read_expr(args.b))
+    a, b = map(parsing.parse_element, _read_exprs(args, "a", "b"))
     if type(a) is not type(b) or type(a) not in _BRACKETS:
         raise ValueError("bracket needs two Z/Y elements or two E elements")
     return _value(args, _BRACKETS[type(a)](a, b))
@@ -77,8 +86,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_act(args) -> int:
-    e = parsing.parse_lie_element(_read_expr(args.element))
-    return _value(args, ladder_module.act(e, parsing.parse_ladder_poly(_read_expr(args.poly))))
+    element, poly = _read_exprs(args, "element", "poly")
+    e = parsing.parse_lie_element(element)
+    return _value(args, ladder_module.act(e, parsing.parse_ladder_poly(poly)))
 
 
 def _cmd_to_e(args) -> int:
@@ -101,8 +111,7 @@ def _cmd_extension_verify(args) -> int:
 
 
 def _cmd_extension_obstruct(args) -> int:
-    b_plus = parsing.parse_gl_element(_read_expr(args.bplus))
-    b_minus = parsing.parse_gl_element(_read_expr(args.bminus))
+    b_plus, b_minus = map(parsing.parse_gl_element, _read_exprs(args, "bplus", "bminus"))
     r = extension.nonsplit_obstruction(b_plus, b_minus)
     return _emit(args, "value",
                  lambda: {"obstruction": parsing.element_to_json(r), "nonzero": not r.is_zero()},
@@ -123,8 +132,7 @@ def _cmd_extension_infeasible(args) -> int:
 
 def _cmd_words_bracket(args) -> int:
     alphabet = _load_alphabet(args.alphabet)
-    a = parsing.parse_word_element(_read_expr(args.a), alphabet)
-    b = parsing.parse_word_element(_read_expr(args.b), alphabet)
+    a, b = (parsing.parse_word_element(text, alphabet) for text in _read_exprs(args, "a", "b"))
     return _value(args, words.bracket_words(a, b))
 
 
@@ -272,12 +280,14 @@ _GROUPS = {"extension": "extension structure checks",
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built from ``_VERBS`` on first use and then
     shared: every ``parse_args`` returns a fresh Namespace, so calls do not
-    see each other's options."""
+    see each other's options.  ``verb_parsers`` maps each verb's words to
+    its own parser."""
     parser = argparse.ArgumentParser(
         prog="ladderie",
         description="Exact computations in the ladder insertion-elimination "
                     "Lie algebra and its friends.")
     verbs = parser.add_subparsers(dest="verb", required=True)
+    parser.verb_parsers = {}
     groups = {}
     for path, fn, help_text, *arguments in _VERBS:
         sub = verbs
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                 group = verbs.add_parser(path[0], help=_GROUPS[path[0]])
                 groups[path[0]] = group.add_subparsers(dest="subverb", required=True)
             sub = groups[path[0]]
-        p = sub.add_parser(path[-1], help=help_text)
+        p = parser.verb_parsers[path] = sub.add_parser(path[-1], help=help_text)
         if "--json" not in arguments:
             arguments.append("--json")
         for arg in arguments:
@@ -300,8 +310,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv):
+    """The Namespace of ``argv``.  When its first one or two words name a
+    verb, that verb's parser reads the rest; the full parser reads any other
+    argv, and any the verb's parser leaves words of, so every help text and
+    usage error is the one the full parser prints."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    for path in (tuple(argv[:1]), tuple(argv[:2])):
+        if path in parser.verb_parsers:
+            args, extras = parser.verb_parsers[path].parse_known_args(argv[len(path):])
+            if not extras:
+                return args
+            break
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -20,6 +20,7 @@ every type).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .extension import CElement
@@ -193,6 +194,98 @@ class _Parser:
         return sign * int(self.take("INT")[1])
 
 
+# The term scanner reads one term per match of a term pattern: sign,
+# coefficient and first atom; a product's further atoms take one match of a
+# factor pattern each.  A bare coefficient must be followed by a sign or the
+# end.  Atom groups, in order: Z pair, E pair, C sign and degree, t index and
+# power, Y.  A Z pair is two indices, or two words under an alphabet.
+_ATOM = (r"(?:Z\s*\[\s*({0})\s*,\s*({0})\s*\]|E\s*\[\s*(\d+)\s*,\s*(\d+)\s*\]"
+         r"|C\s*\[\s*(-?)\s*(\d+)\s*\]|t\s*\[\s*(\d+)\s*\](?:\s*\^\s*(\d+))?|(Y))")
+
+
+def _scanner(z_index: str):
+    atom = _ATOM.format(z_index)
+    return (re.compile(r"\s*([+-]?)\s*()(?:(\d+)(?:\s*/\s*(\d+))?\s*(?:(\*)\s*|(?=[+-]|\Z)))?"
+                       + atom + r"?\s*"),
+            re.compile(r"\*\s*" + atom + r"\s*"))
+
+
+_SCANNERS = (_scanner(r"\d+"), _scanner(r"[A-Za-z_]\w*"))
+
+
+def _scan_atom(groups, alphabet):
+    """``_Parser.atom``'s (kind, payload) for the atom groups of a match;
+    None when no atom matched or the parser would refuse this one."""
+    z1, z2, e1, e2, c_sign, c, k, power, y = groups
+    if z1 is not None:
+        if alphabet is None:
+            return ("Z", (int(z1), int(z2)))
+        words = [() if w == "e" else tuple(w) for w in (z1, z2)]
+        if all(ch in alphabet for w in words for ch in w):
+            return ("Z", tuple(words))
+        return None
+    if e1 is not None:
+        return ("E", (int(e1), int(e2)))
+    if c is not None:
+        return ("C", (-int(c) if c_sign else int(c),))
+    if k is not None:
+        power = 1 if power is None else int(power)
+        return ("T", (int(k), power)) if power else None
+    return ("Y", None) if y else None
+
+
+def _scan_terms(src: str, alphabet=None):
+    r"""``_Parser.parse_terms`` of an ASCII source the scanner reads whole;
+    None for any other source.  On ASCII text ``\s``, ``\d`` and ``\w``
+    accept exactly what the tokenizer's ``isspace``, ``isdecimal`` and
+    ``isalnum`` (with "_") accept."""
+    if not src.isascii():
+        return None
+    term, factor = _SCANNERS[alphabet is not None]
+    terms = []
+    pos, end = 0, len(src)
+    while True:
+        m = term.match(src, pos)
+        groups = m.groups()
+        sign, _, num, den, star = groups[:5]
+        coeff = -1 if sign == "-" else 1
+        if num is not None:
+            coeff *= int(num)
+            if den is not None:
+                if not int(den):
+                    return None
+                coeff = Fraction(coeff, int(den))
+        atoms = []
+        if num is None or star:
+            atom = _scan_atom(groups[5:], alphabet)
+            if atom is None:
+                return None
+            atoms.append(atom)
+        start, pos = m.start(2), m.end()
+        while pos < end and src[pos] == "*":
+            m = factor.match(src, pos)
+            if m is None or (atom := _scan_atom(m.groups(), alphabet)) is None:
+                return None
+            atoms.append(atom)
+            pos = m.end()
+        terms.append((coeff, atoms, start))
+        if pos == end:
+            return terms
+        if src[pos] not in "+-":
+            return None
+
+
+def _read_terms(src: str, alphabet=None) -> list:
+    """List of (coefficient, atoms, position) triples of ``src``.  The term
+    scanner reads what it can; the character reader reads the rest, so every
+    ParseError is the character reader's."""
+    try:
+        terms = _scan_terms(src, alphabet)
+    except ValueError:  # an integer past the digit limit of int()
+        terms = None
+    return _Parser(src, alphabet).parse_terms() if terms is None else terms
+
+
 def _single_atom(terms, kinds, what):
     """Yield (coeff, payload) for term lists whose terms are single atoms of
     the given kinds; zero bare constants are allowed and skipped."""
@@ -238,25 +331,25 @@ def _ladder_from_terms(terms) -> LadderPoly:
 
 
 def parse_lie_element(src: str) -> LieElement:
-    return _lie_from_terms(_Parser(src).parse_terms())
+    return _lie_from_terms(_read_terms(src))
 
 
 def parse_gl_element(src: str) -> GlElement:
-    return _gl_from_terms(_Parser(src).parse_terms())
+    return _gl_from_terms(_read_terms(src))
 
 
 def parse_c_element(src: str) -> CElement:
-    return _c_from_terms(_Parser(src).parse_terms())
+    return _c_from_terms(_read_terms(src))
 
 
 def parse_ladder_poly(src: str) -> LadderPoly:
-    return _ladder_from_terms(_Parser(src).parse_terms())
+    return _ladder_from_terms(_read_terms(src))
 
 
 def parse_element(src: str):
     """Dispatch on the generators present: Z/Y make a Lie element, E a
     gl element, C a quotient element, t (or none) a ladder polynomial."""
-    terms = _Parser(src).parse_terms()
+    terms = _read_terms(src)
     kinds = {kind for _, atoms, _ in terms for kind, _ in atoms}
     for family, build in ((("Z", "Y"), _lie_from_terms), (("E",), _gl_from_terms),
                           (("C",), _c_from_terms)):
@@ -346,7 +439,7 @@ def element_to_json(x):
 def parse_word_element(src: str, alphabet) -> WordLieElement:
     """Combinations of word generators Z[w1,w2] over the given alphabet."""
     return WordLieElement((payload, coeff) for coeff, (_, payload) in _single_atom(
-        _Parser(src, alphabet).parse_terms(), ("Z",), "a word element"))
+        _read_terms(src, alphabet), ("Z",), "a word element"))
 
 
 def _json_terms(obj, key: str, index) -> list:

@@ -9,11 +9,13 @@ payload carries the ranks of every differential, each in text and with
 ``--json``; then ``cohomology h1 --bound B --json`` with and without
 ``--with-y`` for B = 6, 8, 10, and ``cohomology betti --structure`` in text
 and with ``--json`` on gl(2) with every structure constant halved, whose
-differentials carry Fractions; all through ``cli.main`` of the package
-under ``src`` next to this file.  Each response is its exit code, stdout
-and stderr.  It prints one digest per seed, one per cli-mix request kind
-(over all seeds), one per bound, one per gl(N), one per h1 bound, one for
-the structure file, then one over all of them; two trees
+differentials carry Fractions; then ``PARSE_ERRORS``, one malformed
+element argument per ``ParseError`` message, in text and with ``--json``;
+all through ``cli.main`` of the package under ``src`` next to this file.
+Each response is its exit code, stdout and stderr.  It prints one digest
+per seed, one per cli-mix request kind (over all seeds), one per bound, one
+per gl(N), one per h1 bound, one for the structure file, one for the parse
+errors, then one over all of them; two trees
 print the same lines exactly when every response is the same, and a change
 confined to one kind of request changes that kind's line and no other
 kind's.  Run it in each tree and compare the output.  The
@@ -39,6 +41,24 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402
 from ladderie import cli, cohomology, linalg  # noqa: E402
+
+
+# One malformed element argument per ParseError message.
+PARSE_ERRORS = [
+    ["degree", "Z[1,0] ? Y"],                               # unexpected character
+    ["project", "Z[1,0"],                                   # expected X, found Y
+    ["project", "Z[1,0] + *"],                              # expected a generator
+    ["section", "1/0*C[1]"],                                # zero denominator
+    ["from-e", "E[-1,0]"],                                  # negative index
+    ["act", "Z[1,0]", "t[1]^0"],                            # power must be >= 1
+    ["project", "X[1,0]"],                                  # unknown generator
+    ["words", "bracket", "--alphabet", "ab.json", "Z[q,e]", "Z[a,e]"],  # unknown letter
+    ["project", "Z[1,0] + 3"],                              # bare constant
+    ["from-e", "E[1,0]*E[0,1]"],                            # single generator per term
+    ["bracket", "Z[1,0] + E[0,1]", "Y"],                    # mixed generator families
+    ["act", "Z[1,0]", "Z[0,1]"],                            # expected a t generator
+    ["act", "Z[1,0]", "t[1]^1001"],                         # monomial degree
+]
 
 
 def half_gl2() -> dict:
@@ -120,6 +140,11 @@ def main(argv=None) -> int:
         requests = [(None, ["cohomology", "betti", "--structure", "half_gl2.json"] + flag)
                     for flag in ([], ["--json"])]
         print("cohomology betti half-scaled gl(2): %s" % digest(requests, total))
+    with in_temporary_directory():
+        with open("ab.json", "w", encoding="utf-8") as handle:
+            json.dump(workloads._ALPHABET, handle)
+        requests = [(None, argv + flag) for argv in PARSE_ERRORS for flag in ([], ["--json"])]
+        print("parse errors: %s" % digest(requests, total))
     print("total: %s" % total.hexdigest())
     return 0
 

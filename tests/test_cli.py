@@ -98,6 +98,25 @@ def test_stdin_dash(capsys, monkeypatch):
     assert out.strip() == "not-homogeneous"
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["bracket", "-", "-"], "a and b"),
+    (["act", "-", "-", "--json"], "element and poly"),
+    (["extension", "obstruct", "--bplus=-", "--bminus=-"], "bplus and bminus"),
+    (["words", "bracket", "--alphabet", None, "-", "-"], "a and b")])
+def test_stdin_feeds_only_one_argument(capsys, monkeypatch, alphabet_file, argv, names):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Z[2,1]"))
+    code, out, err = run(capsys, *[alphabet_file if a is None else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == "error: stdin ('-') can feed only one argument, not both %s\n" % names
+
+
+def test_stdin_feeds_either_argument(capsys, monkeypatch):
+    for argv in (["bracket", "-", "Z[0,1]"], ["bracket", "Z[0,1]", "-"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Z[1,0]"))
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, "-Z[0,0] + Z[1,1]\n" if argv[1] == "-" else "Z[0,0] - Z[1,1]\n")
+
+
 def test_extension_verbs(capsys):
     code, out, _ = run(capsys, "extension", "verify", "--bound", "2", "--json")
     assert code == 0

@@ -12,7 +12,9 @@ output is known to be right, with
 ``cli.main`` reuses one parser per process, so the cases also run
 interleaved in one process and are compared with a freshly built parser:
 no option state and no usage error may carry over from one call into the
-next.
+next.  ``cli.main`` reads an argv that names a verb with that verb's own
+parser, so every verb's unknown-option, help and missing-argument output is
+also compared with what the full parser prints.
 """
 
 import contextlib
@@ -126,10 +128,39 @@ def test_interleaved_calls_match_a_fresh_parser(golden, monkeypatch):
     order = list(CASES) * 2
     random.Random(7).shuffle(order)
     reused = [_run(CASES[name]) for name in order]
-    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    shared = {id(p) for p in cli.build_parser().verb_parsers.values()}
+    built = []
+    build = cli.build_parser.__wrapped__
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
     fresh = [_run(CASES[name]) for name in order]
     assert reused == fresh
     assert reused == [golden[name] for name in order]
+    tables = [{id(p) for p in parser.verb_parsers.values()} for parser in built]
+    assert len(built) == len(order) and not any(table & shared for table in tables)
+
+
+def _run_parser(parser, argv):
+    """(exit code, stdout, stderr) of ``parser.parse_args`` on an argv it
+    refuses or answers with help."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+    return {"code": exc.value.code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("path", [entry[0] for entry in cli._VERBS], ids=" ".join)
+def test_the_verb_parsers_print_what_the_full_parser_prints(path):
+    """An unknown option, --help, and (for a verb with a required argument)
+    the verb alone: the verb's own parser reads these or hands them on, and
+    ``main`` prints what the full parser prints."""
+    arguments = next(entry[3:] for entry in cli._VERBS if entry[0] == path)
+    required = any(isinstance(arg, str) and not arg.startswith("--")
+                   or isinstance(arg, tuple) and arg[1].get("required") for arg in arguments)
+    cases = [[*path, "--bogus"], [*path, "--help"], [*path, "--json", "--bogus", "x"]]
+    cases += [list(path)] if required else []
+    for argv in cases:
+        assert _run(argv) == _run_parser(cli.build_parser.__wrapped__(), argv)
 
 
 def test_no_option_or_error_state_carries_over(golden):

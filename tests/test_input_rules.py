@@ -21,9 +21,15 @@ from ladderie.parsing import (c_from_json, gl_from_json, ladder_from_json,
 from ladderie.words import Alphabet, Letter, alphabet_from_json
 
 
+_UNSCANNED = ["Z[1,0] +", "Z[-1,0]", "t[1]^0", "\uff12*Y"]
+
+
 @pytest.mark.parametrize("src", ["Z[1,0] - 2*Y", "3/2*E[2,1]", "C[-2] + C[3]",
-                                 "t[0]^2 - 1/3", "Z[1,0] + E[0,0]"])
+                                 "t[0]^2 - 1/3", "Z[1,0] + E[0,0]"] + _UNSCANNED)
 def test_parse_element_tokenizes_its_source_once(monkeypatch, src):
+    """At most once: never when the term scanner reads the source, once
+    when the character reader has to."""
+    assert (parsing._scan_terms(src) is None) == (src in _UNSCANNED)
     calls = []
     tokenize = parsing._tokenize
     monkeypatch.setattr(parsing, "_tokenize", lambda text: calls.append(text) or tokenize(text))
@@ -31,7 +37,7 @@ def test_parse_element_tokenizes_its_source_once(monkeypatch, src):
         parse_element(src)
     except parsing.ParseError:
         pass
-    assert calls == [src]
+    assert calls == ([src] if src in _UNSCANNED else [])
 
 
 _COEFF = st.builds(F, st.integers(-20, 20).filter(bool), st.integers(1, 6))

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ladderie import parsing
 from ladderie.extension import CElement, Cgen
 from ladderie.glinf import E, GlElement
 from ladderie.ladder import LieElement, Y, Z
@@ -160,3 +163,43 @@ def test_printer_canonical_order():
     assert format_element(e) == "Y + Z[0,1] + Z[2,0]"
     assert format_element(-Y - Z(0, 1)) == "-Y - Z[0,1]"
     assert format_element(t(1) + LadderPoly.one()) == "1 + t[1]"
+
+
+# Strings for the term scanner: the grammar's characters, every ASCII
+# character str.isspace accepts, and a few non-ASCII look-alikes; and runs of
+# grammar fragments, so that many strings are elements the scanner reads.
+_CHARS = "ZEYCt[]^*/+-,0123456789abe_" + " \t\n\r\v\f\x1c\x1d\x1e\x1f" + "\uff11\uff3a\xa0"
+_FRAGMENTS = ["Z[1,0]", "Z[ab,e]", "E[2,1]", "C[-3]", "t[1]^2", "t[0]", "Y", "3/4*", "2*",
+              "0", " + ", " - ", "*", "^", "[", "]", ","] + list(_CHARS)
+_SOURCES = st.text(_CHARS, max_size=24) | st.lists(st.sampled_from(_FRAGMENTS), max_size=8).map(
+    "".join)
+_AB = Alphabet([Letter("a", 1), Letter("b", 2)])
+
+
+def _read(parse, src, alphabet):
+    """The triples of ``parse``, with their types, or the ParseError text."""
+    try:
+        return repr(parse(src, alphabet))
+    except ParseError as exc:
+        return "ParseError: %s" % exc
+
+
+def _character_reader(src, alphabet):
+    return parsing._Parser(src, alphabet).parse_terms()
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_SOURCES, st.sampled_from([None, _AB]))
+def test_read_terms_equals_the_character_reader(src, alphabet):
+    assert _read(parsing._read_terms, src, alphabet) == _read(_character_reader, src, alphabet)
+
+
+@pytest.mark.parametrize("src, alphabet, scanned", [
+    ("3Z[1,0]", None, False), ("Z1[1,0]", None, False), ("Yx", None, False),
+    ("0/0*Z[1,0]", None, False), ("t[1]^0", None, False), ("C[ - 3 ]", None, True),
+    ("+Z[1,0]", None, True), ("0 - Z[1,0]", None, True), ("Z[ac,e]", _AB, False),
+    ("Z[ab,e] - 2*Z[e,b]", _AB, True), ("Z[1,0]", _AB, False), ("Z[a,b]", None, False),
+    ("t[0]*t[1]^2 - 1/3", None, True), ("Z[1,0]\n", None, True), ("\uff12*Y", None, False)])
+def test_the_term_scanner_on_named_edges(src, alphabet, scanned):
+    assert (parsing._scan_terms(src, alphabet) is not None) == scanned
+    assert _read(parsing._read_terms, src, alphabet) == _read(_character_reader, src, alphabet)
